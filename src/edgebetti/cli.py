@@ -26,6 +26,10 @@ from .families import FAMILY_BUILDERS, build_family, parse_family_spec
 from .graphs import Graph, format_graph, is_chordal, parse_graph
 from .homology import FieldSpec
 from .verify import (
+    MAX_CHORDAL_VERTICES,
+    MAX_EQUIVALENCE_VERTICES,
+    MAX_ORACLE_VERTICES,
+    MAX_TREE_VERTICES,
     all_chordal_graphs,
     all_trees,
     random_chordal,
@@ -71,10 +75,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = build_family(args.family, tuple(args.params))
     text = format_graph(g, args.format)
     if args.output == "-":
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     return 0
 
 
@@ -115,8 +119,13 @@ def _emit(report, failures: list) -> None:
         failures.append(report.claim)
 
 
-def _sweep_graphs(args: argparse.Namespace):
-    """Yield (name, graph) pairs for the support / reg-indmatch scopes."""
+def _sweep_graphs(args: argparse.Namespace, max_n: int):
+    """Yield (name, graph) pairs for the support / reg-indmatch scopes.
+
+    *max_n* is the largest order the scope's check accepts; an enumeration
+    bound above it, or above the enumerator's own cap, is rejected before
+    the first graph is yielded.
+    """
     modes = [
         args.family is not None,
         args.input is not None,
@@ -129,6 +138,13 @@ def _sweep_graphs(args: argparse.Namespace):
             "need exactly one graph source: --family, an input file, "
             "--trees-upto, --all-chordal-upto or --random"
         )
+    for flag, upto, enum_cap in (
+        ("--trees-upto", args.trees_upto, MAX_TREE_VERTICES),
+        ("--all-chordal-upto", args.all_chordal_upto, MAX_CHORDAL_VERTICES),
+    ):
+        cap = min(enum_cap, max_n)
+        if upto is not None and upto > cap:
+            raise ValueError(f"{flag} {upto} exceeds the {cap}-vertex cap of this scope")
     if args.family is not None or args.input is not None:
         yield args.family or args.input, _load_graph(args)
     elif args.trees_upto is not None:
@@ -167,10 +183,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for r in range(r_lo, top + 1):
                 _emit(verify_gpr1(p, r), failures)
     elif args.scope == "support":
-        for name, g in _sweep_graphs(args):
+        for name, g in _sweep_graphs(args, MAX_EQUIVALENCE_VERTICES):
             _emit(verify_cert_support(g, name), failures)
     elif args.scope == "reg-indmatch":
-        for name, g in _sweep_graphs(args):
+        for name, g in _sweep_graphs(args, MAX_ORACLE_VERTICES):
             _emit(verify_reg_eq_indmatch(g, name), failures)
     return 1 if failures else 0
 

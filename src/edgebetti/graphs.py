@@ -302,8 +302,22 @@ def graph_to_json_dict(g: Graph) -> dict:
 def graph_from_json_dict(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON needs 'n' and 'edges' keys")
-    edges = [(int(u), int(v)) for u, v in obj["edges"]]
-    return new_graph(int(obj["n"]), edges, obj.get("labels"))
+    n, edges, labels = obj["n"], obj["edges"], obj.get("labels")
+    if not _is_int(n):
+        raise ValueError(f"bad graph JSON: 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise ValueError("bad graph JSON: 'edges' must be a list of [u, v] integer pairs")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise ValueError("bad graph JSON: 'labels' must be a list of strings")
+    return new_graph(n, edges, labels)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_graph(text: str) -> Graph:

@@ -15,17 +15,20 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterator
 
 from .analysis import extremal_positions, projective_dimension, regularity
 from .betti import betti_table
 from .bouquets import certified_positions, find_certificate
 from .families import g_pr1, g_rb, path_star
-from .graphs import Graph, induced_matching_number, is_chordal, is_connected, new_graph
+from .graphs import Graph, induced_matching_number, is_chordal, is_connected, iter_bits, new_graph
 
 MAX_ORACLE_VERTICES = 13
 MAX_EQUIVALENCE_VERTICES = 10
+# Largest orders the enumerators accept; a call at the cap takes seconds.
+MAX_TREE_VERTICES = 14
+MAX_CHORDAL_VERTICES = 8
 
 
 @dataclass(frozen=True)
@@ -261,14 +264,8 @@ def random_chordal(n: int, rng: random.Random) -> Graph:
 # small-order enumeration up to isomorphism
 
 
-def _rooted_code(adj: list[int], root: int, parent: int) -> tuple:
-    kids = []
-    m = adj[root] & ~(1 << parent if parent >= 0 else 0)
-    while m:
-        low = m & -m
-        m ^= low
-        kids.append(_rooted_code(adj, low.bit_length() - 1, root))
-    return tuple(sorted(kids))
+def _rooted_code(adj: tuple[int, ...], root: int, parent: int) -> tuple:
+    return tuple(sorted(_rooted_code(adj, u, root) for u in iter_bits(adj[root]) if u != parent))
 
 
 def _tree_key(g: Graph) -> tuple:
@@ -282,83 +279,49 @@ def _tree_key(g: Graph) -> tuple:
         nxt = []
         for v in layer:
             alive.discard(v)
-            m = g.adj[v]
-            while m:
-                low = m & -m
-                m ^= low
-                u = low.bit_length() - 1
+            for u in iter_bits(g.adj[v]):
                 if u in alive:
                     degree[u] -= 1
                     if degree[u] == 1:
                         nxt.append(u)
         layer = nxt
-    return min(_rooted_code(list(g.adj), c, -1) for c in alive)
-
-
-def _decode_tree(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edge list of the labeled tree with vertex-sequence code *seq*."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    ptr = 0
-    leaf = -1
-    for x in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x  # fresh leaf below the scan point: consume it next
-        else:
-            leaf = -1
-    if leaf < 0:
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    return min(_rooted_code(g.adj, c, -1) for c in alive)
 
 
 def all_trees(n: int) -> list[Graph]:
     """All trees on n vertices, one per isomorphism class.
 
-    Decodes every labeled tree from its length-(n-2) vertex-sequence code
-    and keeps one representative per canonical code; deterministic order.
+    Grown order by order: every tree on n >= 2 vertices is a tree on n-1
+    vertices plus a leaf, so attaching a new vertex to each vertex of each
+    smaller class reaches every class.  One representative is kept per
+    canonical code, in the order of the codes.
     """
+    if n > MAX_TREE_VERTICES:
+        raise ValueError(f"all_trees is capped at {MAX_TREE_VERTICES} vertices, got {n}")
     if n < 1:
         return []
-    if n == 1:
-        return [new_graph(1, [])]
-    if n == 2:
-        return [new_graph(2, [(0, 1)])]
-    found: dict[tuple, Graph] = {}
-    for seq in product(range(n), repeat=n - 2):
-        g = new_graph(n, _decode_tree(n, seq))
-        key = _tree_key(g)
-        if key not in found:
-            found[key] = g
-    return [found[k] for k in sorted(found)]
+    level = [new_graph(1, [])]
+    for size in range(2, n + 1):
+        found: dict[tuple, Graph] = {}
+        for g in level:
+            edges = g.edges()
+            for v in range(g.n):
+                cand = new_graph(size, edges + [(v, size - 1)])
+                key = _tree_key(cand)
+                if key not in found:
+                    found[key] = cand
+        level = [found[k] for k in sorted(found)]
+    return level
 
 
 def _vertex_invariants(adj: list[int], n: int) -> list:
     inv = [adj[v].bit_count() for v in range(n)]
     for _ in range(2):
         inv = [
-            (inv[v], tuple(sorted(inv[u] for u in _bits(adj[v]))))
+            (inv[v], tuple(sorted(inv[u] for u in iter_bits(adj[v]))))
             for v in range(n)
         ]
     return inv
-
-
-def _bits(m: int) -> Iterator[int]:
-    while m:
-        low = m & -m
-        m ^= low
-        yield low.bit_length() - 1
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -376,6 +339,7 @@ def canonical_key(g: Graph) -> tuple:
         cells.setdefault(inv[v], []).append(v)
     ordered_cells = [cells[k] for k in sorted(cells)]
     sizes = tuple(len(c) for c in ordered_cells)
+    edges = g.edges()
     best = None
     for perms in _product_permutations(ordered_cells):
         pos = {}
@@ -385,7 +349,7 @@ def canonical_key(g: Graph) -> tuple:
                 pos[v] = nxt
                 nxt += 1
         key = tuple(
-            sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges())
+            sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges)
         )
         if best is None or key < best:
             best = key
@@ -424,8 +388,12 @@ def all_chordal_graphs(n: int) -> list[Graph]:
 
     Grown by attaching each new vertex to a clique (possibly empty) of a
     smaller chordal graph — every chordal graph arises this way — with
-    canonical-form deduplication at each order.  Intended for n <= 7.
+    canonical-form deduplication at each order.
     """
+    if n > MAX_CHORDAL_VERTICES:
+        raise ValueError(
+            f"all_chordal_graphs is capped at {MAX_CHORDAL_VERTICES} vertices, got {n}"
+        )
     if n < 1:
         return []
     level: dict[tuple, Graph] = {}
@@ -436,7 +404,7 @@ def all_chordal_graphs(n: int) -> list[Graph]:
         for g in level.values():
             adj = list(g.adj)
             for clique in _all_cliques(adj, g.n):
-                edges = g.edges() + [(u, size - 1) for u in _bits(clique)]
+                edges = g.edges() + [(u, size - 1) for u in iter_bits(clique)]
                 cand = new_graph(size, edges)
                 key = canonical_key(cand)
                 if key not in nxt:

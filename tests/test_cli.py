@@ -46,6 +46,16 @@ def test_gen_to_file(capsys, tmp_path):
     assert parse_graph(target.read_text()) == star_triangle(2)
 
 
+def test_gen_output_ends_in_one_newline(capsys, tmp_path):
+    expected = "3 2\n0 1\n1 2\n"
+    code, out, _ = run(capsys, "gen", "path-star", "1")
+    assert code == 0 and out == expected
+    target = tmp_path / "g.txt"
+    code, out, _ = run(capsys, "gen", "path-star", "1", "-o", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == expected.encode()
+
+
 def test_gen_bad_params(capsys):
     code, _, err = run(capsys, "gen", "grb", "3")  # missing b
     assert code == 2
@@ -106,6 +116,23 @@ def test_betti_jobs_schedules_agree(capsys):
     _, serial, _ = run(capsys, "betti", "--family", "path-star:2", "--jobs", "1")
     _, parallel, _ = run(capsys, "betti", "--family", "path-star:2", "--jobs", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n":3,"edges":5}', '{"n":3,"labels":5}', '{"n":3,"edges":[],"labels":5}'],
+)
+def test_betti_rejects_malformed_json(text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgebetti", "betti", "-"],
+        input=text,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_betti_bad_field(capsys):
@@ -185,6 +212,21 @@ def test_verify_support_all_chordal(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 2 + 4 + 10  # chordal classes for n = 1..4
     assert all(json.loads(line)["passed"] for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("support", "--trees-upto", "11"),  # above the 10-vertex cert-support cap
+        ("support", "--all-chordal-upto", "9"),  # above the chordal enumerator cap
+        ("reg-indmatch", "--trees-upto", "14"),  # above the 13-vertex oracle cap
+    ],
+)
+def test_verify_rejects_enumeration_above_cap(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
 
 
 def test_verify_reg_indmatch_random(capsys):

@@ -8,6 +8,8 @@ import pytest
 from edgebetti.families import g_rb, star_triangle
 from edgebetti.graphs import is_chordal, is_connected, new_graph
 from edgebetti.verify import (
+    MAX_CHORDAL_VERTICES,
+    MAX_TREE_VERTICES,
     VerificationReport,
     all_chordal_graphs,
     all_trees,
@@ -147,12 +149,14 @@ def test_random_chordal_hits_nontrivial_graphs():
 
 
 def test_all_trees_counts():
-    # Classic isomorphism-class counts for trees on 1..7 vertices.
-    assert [len(all_trees(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    # Isomorphism-class counts for trees on 1..12 vertices (OEIS A000055).
+    assert [len(all_trees(n)) for n in range(1, 13)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551
+    ]
 
 
 def test_all_trees_are_distinct_trees():
-    for n in (5, 6):
+    for n in (5, 6, 8, 9):
         trees = all_trees(n)
         for g in trees:
             assert g.n == n
@@ -189,6 +193,14 @@ def test_all_chordal_graphs_complete_against_brute_force():
         enumerated = {canonical_key(g) for g in all_chordal_graphs(n)}
         assert seen == enumerated
         assert len(enumerated) == len(all_chordal_graphs(n))
+
+
+@pytest.mark.parametrize(
+    "enumerate_, cap", [(all_trees, MAX_TREE_VERTICES), (all_chordal_graphs, MAX_CHORDAL_VERTICES)]
+)
+def test_enumerators_reject_orders_above_their_cap(enumerate_, cap):
+    with pytest.raises(ValueError, match="capped"):
+        enumerate_(cap + 1)
 
 
 def test_canonical_key_is_isomorphism_invariant():
