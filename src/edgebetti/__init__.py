@@ -11,7 +11,6 @@ other family-level facts on demand.
 from .analysis import (
     ExtremalReport,
     extremal_positions,
-    has_unique_extremal,
     projective_dimension,
     regularity,
     render_table,
@@ -94,7 +93,6 @@ __all__ = [
     "format_graph",
     "g_pr1",
     "g_rb",
-    "has_unique_extremal",
     "hilbert_numerator",
     "independence_complex",
     "induced_matching_number",

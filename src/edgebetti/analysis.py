@@ -5,7 +5,7 @@ An entry beta_{i,i+j} is extremal when every other entry (k, l) with k >= i
 and l >= j vanishes — a corner of the table.  The corners form an antichain,
 there is always at least one, and there is exactly one precisely when the
 far corner beta_{p,p+r} (p = projective dimension, r = regularity) is
-nonzero.  That equivalence is asserted on every call as an internal sanity
+nonzero.  That equivalence is checked on every call as an internal sanity
 check.
 """
 
@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .betti import BettiTable, Position
+from .homology import InvariantError
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,9 @@ def extremal_positions(t: BettiTable) -> ExtremalReport:
         unique=len(corners) == 1,
     )
     # corner count 1 must coincide with the far corner (pd, reg) being hit
-    assert report.unique == ((pd, reg) in support), "unique-corner equivalence broke"
+    if report.unique != ((pd, reg) in support):
+        raise InvariantError("unique-corner equivalence broke")
     return report
-
-
-def has_unique_extremal(t: BettiTable) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether the table has exactly one extremal entry, with the witness.
-
-    Returns (flag, (i, j, value) or None).  The flag is also equivalent to
-    beta_{p,p+r} != 0, which `extremal_positions` cross-asserts.
-    """
-    report = extremal_positions(t)
-    return report.unique, report.positions[0] if report.unique else None
 
 
 def _render_grid(t: BettiTable) -> str:

@@ -20,19 +20,20 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph
-from .homology import FieldSpec, homology_dims_from_levels, independent_sets_by_card
+from .homology import (
+    FieldSpec,
+    HomologyProfile,
+    homology_dims_from_levels,
+    independent_sets_by_card,
+)
 
 MAX_SWEEP_VERTICES = 16
 MAX_COUNT_VERTICES = 20
-
-JOBS_ENV_VAR = "EDGEBETTI_JOBS"
 
 Position = tuple[int, int]
 
@@ -94,67 +95,57 @@ def _has_isolated_vertex(adj: Sequence[int], w: int) -> bool:
     return False
 
 
-def _accumulate_subset(adj: Sequence[int], w: int, p: int | None, cells: dict) -> None:
-    if _has_isolated_vertex(adj, w):
-        return  # cone: no reduced homology
-    levels = independent_sets_by_card(adj, w)
-    size = w.bit_count()
-    for k, d in homology_dims_from_levels(levels, p).items():
-        if d:
-            key = (size - k - 1, k + 1)
-            cells[key] = cells.get(key, 0) + d
+def _hochster_terms(
+    adj: Sequence[int], masks: Iterable[int], p: int | None
+) -> Iterator[tuple[int, HomologyProfile]]:
+    """(W, reduced homology dims of Ind(G_W)) for every W in *masks* whose
+    complex is not a cone; cones have no reduced homology and are skipped.
+
+    This is the only loop over vertex subsets: every sweep goes through it.
+    """
+    for w in masks:
+        if not _has_isolated_vertex(adj, w):
+            yield w, homology_dims_from_levels(independent_sets_by_card(adj, w), p)
 
 
 def _sweep_range(adj: tuple[int, ...], lo: int, hi: int, p: int | None) -> dict:
     """Hochster contributions of all subsets lo <= W < hi (as masks)."""
     cells: dict[Position, int] = {}
-    for w in range(max(lo, 1), hi):
-        _accumulate_subset(adj, w, p, cells)
+    for w, dims in _hochster_terms(adj, range(lo, hi), p):
+        size = w.bit_count()
+        for k, d in dims.items():
+            if d:
+                key = (size - k - 1, k + 1)
+                cells[key] = cells.get(key, 0) + d
     return cells
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV_VAR, "")
-        jobs = int(raw) if raw.strip() else 1
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    return jobs
-
-
-def betti_table(
-    g: Graph, field: FieldSpec = FieldSpec(), jobs: int | None = None
-) -> BettiTable:
+def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:
     """Full graded Betti table of S/I(g) over *field*.
 
-    Runs the subset sweep serially (increasing |W|, lexicographic within a
-    size) or, with jobs > 1, in parallel over chunks of the subset space.
-    Aggregation is plain addition per cell, so the result is identical for
-    every schedule.  jobs defaults to the EDGEBETTI_JOBS environment
-    variable, else 1.
+    Sweeps the nonempty subsets W as masks 1 .. 2^n - 1, serially or, with
+    jobs > 1, in parallel over chunks of that range.  Aggregation is plain
+    addition per cell, so the result is identical for every schedule.
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
-    jobs = _resolve_jobs(jobs)
-    cells: dict[Position, int] = {(0, 0): 1}
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     adj = tuple(g.adj)
-    if jobs == 1 or g.n < 4:
-        for size in range(1, g.n + 1):
-            for combo in combinations(range(g.n), size):
-                w = 0
-                for v in combo:
-                    w |= 1 << v
-                _accumulate_subset(adj, w, field.p, cells)
-        return BettiTable(g.n, cells)
     total = 1 << g.n
-    nchunks = min(total, jobs * 8)
-    step = total // nchunks
-    bounds = [step * c for c in range(nchunks)] + [total]
-    args = [(adj, bounds[c], bounds[c + 1], field.p) for c in range(nchunks)]
-    with multiprocessing.Pool(jobs) as pool:
-        for part in pool.starmap(_sweep_range, args):
-            for key, v in part.items():
-                cells[key] = cells.get(key, 0) + v
+    if jobs == 1 or g.n < 4:
+        parts = [_sweep_range(adj, 1, total, field.p)]
+    else:
+        nchunks = min(total, jobs * 8)
+        step = total // nchunks
+        bounds = [1] + [step * c for c in range(1, nchunks)] + [total]
+        args = [(adj, bounds[c], bounds[c + 1], field.p) for c in range(nchunks)]
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.starmap(_sweep_range, args)
+    cells: dict[Position, int] = {(0, 0): 1}
+    for part in parts:
+        for key, v in part.items():
+            cells[key] = cells.get(key, 0) + v
     return BettiTable(g.n, cells)
 
 
@@ -176,18 +167,8 @@ def betti_single(
             stacklevel=2,
         )
         return 0
-    adj = tuple(g.adj)
-    k = j - 1
-    total = 0
-    for combo in combinations(range(g.n), i + j):
-        w = 0
-        for v in combo:
-            w |= 1 << v
-        if _has_isolated_vertex(adj, w):
-            continue
-        levels = independent_sets_by_card(adj, w)
-        total += homology_dims_from_levels(levels, field.p).get(k, 0)
-    return total
+    masks = (w for w in range(1 << g.n) if w.bit_count() == i + j)
+    return sum(dims.get(j - 1, 0) for _, dims in _hochster_terms(tuple(g.adj), masks, field.p))
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, is_chordal, is_induced_matching
+from .homology import InvariantError
 
 MAX_SEARCH_VERTICES = 16
 MAX_PREDICT_VERTICES = 13
@@ -218,7 +219,8 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
                 (min(r, partner[r]), max(r, partner[r])) for r in sorted(roots)
             )
             bs = BouquetSet(bouquets, reps)
-            assert validate_bouquet_set(g, bs)
+            if not validate_bouquet_set(g, bs):
+                raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
             return Certificate(bs, (i, j), bs.vertices_mask())
     return None
 

@@ -20,7 +20,7 @@ import random
 import sys
 
 from .analysis import render_table
-from .betti import JOBS_ENV_VAR, betti_single, betti_table
+from .betti import betti_single, betti_table
 from .bouquets import find_certificate
 from .families import FAMILY_BUILDERS, build_family, parse_family_spec
 from .graphs import Graph, format_graph, is_chordal, parse_graph
@@ -141,6 +141,7 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
     for flag, upto, enum_cap in (
         ("--trees-upto", args.trees_upto, MAX_TREE_VERTICES),
         ("--all-chordal-upto", args.all_chordal_upto, MAX_CHORDAL_VERTICES),
+        ("--max-n", args.max_n if args.random is not None else None, max_n),
     ):
         cap = min(enum_cap, max_n)
         if upto is not None and upto > cap:
@@ -220,8 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help=f"parallel workers for the subset sweep (default ${JOBS_ENV_VAR} or 1)",
+        default=1,
+        help="parallel workers for the subset sweep (default 1)",
     )
     p_betti.set_defaults(func=cmd_betti)
 

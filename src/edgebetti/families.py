@@ -59,9 +59,7 @@ def g_rb(r: int, b: int) -> Graph:
         raise ValueError(f"g_rb requires 2 <= b <= r, got r={r}, b={b}")
     n = 2 * r + b
     z = 2 * r
-    edges = []
-    for i in range(r):
-        edges += [(z, i), (z, r + i), (i, r + i)]
+    edges = star_triangle(r).edges()
     for j in range(1, b):
         wj = 2 * r + j
         edges.append((wj, z))

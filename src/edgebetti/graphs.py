@@ -12,6 +12,10 @@ from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
+# Largest order the text and JSON readers accept, checked before any
+# per-vertex work.  Every entry point caps far lower (20 vertices at most).
+MAX_PARSE_VERTICES = 64
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of *mask* in increasing order."""
@@ -286,6 +290,7 @@ def graph_from_text(text: str) -> Graph:
     except ValueError as exc:
         raise ValueError(f"bad token in graph text: {exc}") from None
     n, m = values[0], values[1]
+    _check_order(n)
     if len(values) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges, found {(len(values) - 2) / 2}")
     edges = [(values[2 + 2 * k], values[3 + 2 * k]) for k in range(m)]
@@ -305,6 +310,7 @@ def graph_from_json_dict(obj: dict) -> Graph:
     n, edges, labels = obj["n"], obj["edges"], obj.get("labels")
     if not _is_int(n):
         raise ValueError(f"bad graph JSON: 'n' must be an integer, got {n!r}")
+    _check_order(n)
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
     ):
@@ -314,6 +320,11 @@ def graph_from_json_dict(obj: dict) -> Graph:
     ):
         raise ValueError("bad graph JSON: 'labels' must be a list of strings")
     return new_graph(n, edges, labels)
+
+
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_PARSE_VERTICES:
+        raise ValueError(f"graph order {n} outside 0..{MAX_PARSE_VERTICES}")
 
 
 def _is_int(x) -> bool:

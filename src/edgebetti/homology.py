@@ -21,6 +21,15 @@ from .linalg import matrix_rank, rank_gf2
 
 HomologyProfile = dict[int, int]
 
+
+class InvariantError(RuntimeError):
+    """An internal identity failed: a bug in the computation, never bad input.
+
+    Raised in place of ``assert`` so that the checks also run under
+    ``python -O``.
+    """
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -127,8 +136,6 @@ class SimplicialComplex:
             maximal = [0]
         return cls(n, tuple(sorted(maximal)))
 
-    from_facets = from_faces  # same normalization either way
-
     @property
     def dim(self) -> int:
         """Dimension: largest face cardinality minus one (-1 for {emptyset})."""
@@ -228,12 +235,14 @@ def homology_dims_from_levels(levels: list[list[int]], p: int | None) -> Homolog
     dims: HomologyProfile = {}
     for k in range(-1, top):
         d = len(levels[k + 1]) - rank_out[k + 1] - rank_out[k + 2]
-        assert d >= 0, f"negative homology dimension at k={k}"
+        if d < 0:
+            raise InvariantError(f"negative homology dimension at k={k}")
         dims[k] = d
     # reduced Euler characteristic must match the face counts
     euler_faces = sum((-1) ** c * len(levels[c]) for c in range(top + 1))
     euler_homology = sum((-1) ** (k + 1) * d for k, d in dims.items())
-    assert euler_faces == euler_homology, "Euler characteristic mismatch"
+    if euler_faces != euler_homology:
+        raise InvariantError("Euler characteristic mismatch")
     return dims
 
 

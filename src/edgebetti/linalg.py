@@ -148,14 +148,4 @@ def matrix_rank(rows: list[Row], p: int | None = None) -> int:
     """Rank of an integer matrix over QQ (p None) or GF(p)."""
     if p is None:
         return rank_rational(rows)
-    if p == 2:
-        masks = []
-        for r in rows:
-            m = 0
-            for c, v in r.items():
-                if v & 1:
-                    m ^= 1 << c
-            if m:
-                masks.append(m)
-        return rank_gf2(masks)
     return rank_mod_p(rows, p)

@@ -6,16 +6,17 @@ import random
 
 import pytest
 
+from edgebetti import analysis
 from edgebetti.analysis import (
     ExtremalReport,
     extremal_positions,
-    has_unique_extremal,
     projective_dimension,
     regularity,
     render_table,
 )
 from edgebetti.betti import BettiTable, betti_table
 from edgebetti.graphs import induced_matching_number, new_graph
+from edgebetti.homology import InvariantError
 
 
 def table(n, entries):
@@ -43,8 +44,6 @@ def test_extremal_single_corner():
     rep = extremal_positions(t)
     assert rep.positions == ((3, 2, 1),)
     assert rep.unique
-    flag, witness = has_unique_extremal(t)
-    assert flag and witness == (3, 2, 1)
 
 
 def test_extremal_two_corners():
@@ -54,8 +53,13 @@ def test_extremal_two_corners():
     assert rep.positions == ((2, 2, 5), (3, 1, 7))
     assert rep.count == 2 and not rep.unique
     assert rep.regularity == 2 and rep.projective_dimension == 3
-    flag, witness = has_unique_extremal(t)
-    assert not flag and witness is None
+
+
+def test_extremal_checks_unique_corner_equivalence(monkeypatch):
+    # A wrong projective dimension moves the far corner off the only corner.
+    monkeypatch.setattr(analysis, "projective_dimension", lambda t: 0)
+    with pytest.raises(InvariantError, match="unique-corner"):
+        extremal_positions(table(5, {(1, 1): 4, (2, 1): 3, (2, 2): 1, (3, 2): 1}))
 
 
 def test_extremal_unit_entry_dominated():

@@ -161,13 +161,9 @@ def test_parallel_sweep_agrees_with_serial():
     assert parallel == serial
 
 
-def test_jobs_env_var(monkeypatch):
-    monkeypatch.setenv("EDGEBETTI_JOBS", "2")
-    g = complete(5)
-    assert betti_table(g).entries == betti_table(g, jobs=1).entries
-    monkeypatch.setenv("EDGEBETTI_JOBS", "0")
-    with pytest.raises(ValueError):
-        betti_table(g)
+def test_jobs_below_one_rejected():
+    with pytest.raises(ValueError, match="jobs"):
+        betti_table(complete(5), jobs=0)
 
 
 def test_sweep_size_cap():

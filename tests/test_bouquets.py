@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from edgebetti import bouquets
 from edgebetti.betti import betti_table
 from edgebetti.bouquets import (
     Bouquet,
@@ -17,7 +18,8 @@ from edgebetti.bouquets import (
     validate_bouquet_set,
 )
 from edgebetti.families import g_rb, path_star, star_triangle
-from edgebetti.graphs import new_graph
+from edgebetti.graphs import is_chordal, new_graph
+from edgebetti.homology import InvariantError
 
 from oracles import naive_certified_positions
 
@@ -143,6 +145,12 @@ def test_find_certificate_is_deterministic_and_valid():
     assert total == a.witness.bit_count()
 
 
+def test_find_certificate_checks_what_it_builds(monkeypatch):
+    monkeypatch.setattr(bouquets, "validate_bouquet_set", lambda g, bs: False)
+    with pytest.raises(InvariantError, match="bouquet set"):
+        find_certificate(path(3), 1, 1)
+
+
 def test_find_certificate_respects_lex_order():
     # Two disjoint edges 0-1, 2-3: the first matching in lex order is
     # ((0,1),) so the type (1,1) certificate roots at 0.
@@ -210,3 +218,20 @@ def test_certified_positions_match_brute_force():
             warnings.simplefilter("ignore")
             got = certified_positions(g)
         assert got == naive_certified_positions(g)
+
+
+def test_certified_positions_sound_off_chordal_graphs():
+    # Off chordal graphs the certificates may miss positions, but every
+    # certified one is nonzero in the table.
+    rng = random.Random(41)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(4, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = new_graph(n, [e for e in pairs if rng.random() < 0.4])
+        if is_chordal(g):
+            continue
+        with pytest.warns(UserWarning, match="not chordal"):
+            certified = certified_positions(g)
+        assert certified <= betti_table(g).support()
+        checked += 1

@@ -118,9 +118,23 @@ def test_betti_jobs_schedules_agree(capsys):
     assert serial == parallel
 
 
+def test_betti_rejects_jobs_below_one(capsys):
+    code, out, err = run(capsys, "betti", "--family", "path-star:2", "--jobs", "0")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "text",
-    ['{"n":3,"edges":5}', '{"n":3,"labels":5}', '{"n":3,"edges":[],"labels":5}'],
+    [
+        '{"n":3,"edges":5}',
+        '{"n":3,"labels":5}',
+        '{"n":3,"edges":[],"labels":5}',
+        # an order far above every cap is rejected while parsing, before any
+        # per-vertex allocation, in both formats
+        '{"n":1000000000,"edges":[]}',
+        "1000000000 0",
+    ],
 )
 def test_betti_rejects_malformed_json(text):
     proc = subprocess.run(
@@ -128,6 +142,7 @@ def test_betti_rejects_malformed_json(text):
         input=text,
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -220,6 +235,7 @@ def test_verify_support_all_chordal(capsys):
         ("support", "--trees-upto", "11"),  # above the 10-vertex cert-support cap
         ("support", "--all-chordal-upto", "9"),  # above the chordal enumerator cap
         ("reg-indmatch", "--trees-upto", "14"),  # above the 13-vertex oracle cap
+        ("support", "--random", "20", "--seed", "1", "--max-n", "12"),  # above 10
     ],
 )
 def test_verify_rejects_enumeration_above_cap(capsys, argv):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -184,3 +186,28 @@ def test_cone_has_no_reduced_homology():
         cx = SimplicialComplex.from_faces(n, [m | apex for m in gens])
         dims = reduced_homology_dims(cx)
         assert all(v == 0 for v in dims.values())
+
+
+# A rank pushed too high makes a homology dimension negative.  (A rank of 0
+# would not do: the rank terms telescope, so the Euler identity still holds.)
+_TAMPERED_SWEEP = """
+import sys
+import edgebetti.homology as homology
+from edgebetti import FieldSpec, betti_table, new_graph
+homology.rank_gf2 = lambda masks: len(masks)
+try:
+    betti_table(new_graph(3, [(0, 1), (1, 2)]), FieldSpec.gf(2))
+except Exception as exc:
+    print(sys.flags.optimize, type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_identity_checks_survive_optimize(flags):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _TAMPERED_SWEEP],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == [str(len(flags)), "InvariantError"], proc.stderr
