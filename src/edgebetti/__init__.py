@@ -43,18 +43,14 @@ from .graphs import (
     Graph,
     format_graph,
     induced_matching_number,
-    induced_subgraph,
     is_chordal,
     is_connected,
     is_induced_matching,
-    neighborhood,
     new_graph,
     parse_graph,
 )
 from .homology import (
     FieldSpec,
-    SimplicialComplex,
-    independence_complex,
     reduced_homology_dims,
 )
 from .verify import (
@@ -79,7 +75,6 @@ __all__ = [
     "ExtremalReport",
     "FieldSpec",
     "Graph",
-    "SimplicialComplex",
     "VerificationReport",
     "all_chordal_graphs",
     "all_trees",
@@ -94,14 +89,11 @@ __all__ = [
     "g_pr1",
     "g_rb",
     "hilbert_numerator",
-    "independence_complex",
     "induced_matching_number",
-    "induced_subgraph",
     "is_chordal",
     "is_connected",
     "is_induced_matching",
     "k_polynomial",
-    "neighborhood",
     "new_graph",
     "parse_family_spec",
     "parse_graph",

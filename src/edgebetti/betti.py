@@ -20,19 +20,20 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph
 from .homology import (
+    MAX_SWEEP_VERTICES,
     FieldSpec,
     HomologyProfile,
     homology_dims_from_levels,
     independent_sets_by_card,
 )
 
-MAX_SWEEP_VERTICES = 16
 MAX_COUNT_VERTICES = 20
 
 Position = tuple[int, int]
@@ -124,8 +125,9 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> Bett
     """Full graded Betti table of S/I(g) over *field*.
 
     Sweeps the nonempty subsets W as masks 1 .. 2^n - 1, serially or, with
-    jobs > 1, in parallel over chunks of that range.  Aggregation is plain
-    addition per cell, so the result is identical for every schedule.
+    jobs > 1, in parallel over chunks of that range on at most
+    ``os.cpu_count()`` workers.  Aggregation is plain addition per cell, so
+    the result is identical for every schedule.
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
@@ -136,6 +138,7 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> Bett
     if jobs == 1 or g.n < 4:
         parts = [_sweep_range(adj, 1, total, field.p)]
     else:
+        jobs = min(jobs, os.cpu_count() or 1)
         nchunks = min(total, jobs * 8)
         step = total // nchunks
         bounds = [1] + [step * c for c in range(1, nchunks)] + [total]

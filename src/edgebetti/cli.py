@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers for the subset sweep (default 1)",
+        help="parallel workers for the subset sweep (default 1; at most the CPU count)",
     )
     p_betti.set_defaults(func=cmd_betti)
 

@@ -12,7 +12,7 @@ path star, not the star triangle the inductive construction starts from.
 
 from __future__ import annotations
 
-from .graphs import Graph, new_graph
+from .graphs import MAX_PARSE_VERTICES, Graph, new_graph
 
 
 def _labels(r: int, extra: list[str]) -> list[str]:
@@ -91,21 +91,29 @@ def g_pr1(p: int, r: int) -> Graph:
     return new_graph(n, edges, labels)
 
 
+# name -> (builder, parameter count, order of the graph it builds)
 FAMILY_BUILDERS = {
-    "path-star": (path_star, 1),
-    "star-triangle": (star_triangle, 1),
-    "grb": (g_rb, 2),
-    "gpr1": (g_pr1, 2),
+    "path-star": (path_star, 1, lambda r: 2 * r + 1),
+    "star-triangle": (star_triangle, 1, lambda r: 2 * r + 1),
+    "grb": (g_rb, 2, lambda r, b: 2 * r + b),
+    "gpr1": (g_pr1, 2, lambda p, r: p + r),
 }
 
 
 def build_family(name: str, params: list[int]) -> Graph:
-    """Build a named family graph; used by the CLI (`grb:5,3` style specs)."""
+    """Build a named family graph; used by the CLI (`grb:5,3` style specs).
+
+    An order above ``MAX_PARSE_VERTICES`` is rejected before anything is
+    built: no graph reader would accept the result.
+    """
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILY_BUILDERS)}")
-    builder, arity = FAMILY_BUILDERS[name]
+    builder, arity, order = FAMILY_BUILDERS[name]
     if len(params) != arity:
         raise ValueError(f"family {name} takes {arity} parameter(s), got {len(params)}")
+    n = order(*params)
+    if n > MAX_PARSE_VERTICES:
+        raise ValueError(f"family {name} would have {n} > {MAX_PARSE_VERTICES} vertices")
     return builder(*params)
 
 

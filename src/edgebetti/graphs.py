@@ -32,14 +32,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def as_mask(w, n: int) -> int:
-    """Coerce an int bitmask or an iterable of vertices to a validated bitmask."""
-    m = w if isinstance(w, int) else mask_of(w)
-    if m < 0 or m >> n:
-        raise ValueError(f"vertex set {bin(m)} out of range for n={n}")
-    return m
-
-
 class Graph:
     """Finite simple graph: no loops, no multiple edges.
 
@@ -117,31 +109,6 @@ def new_graph(n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj, labels)
-
-
-def induced_subgraph(g: Graph, w) -> tuple[Graph, tuple[int, ...]]:
-    """Restrict g to the vertex set *w*.
-
-    Returns the subgraph (vertices reindexed 0..|w|-1) together with the
-    tuple mapping new index -> original vertex.
-    """
-    m = as_mask(w, g.n)
-    kept = tuple(iter_bits(m))
-    pos = {v: i for i, v in enumerate(kept)}
-    adj = [0] * len(kept)
-    for i, v in enumerate(kept):
-        for u in iter_bits(g.adj[v] & m):
-            adj[i] |= 1 << pos[u]
-    labels = tuple(g.labels[v] for v in kept) if g.labels is not None else None
-    return Graph(len(kept), adj, labels), kept
-
-
-def neighborhood(g: Graph, v: int, closed: bool = False) -> int:
-    """Open neighborhood bitmask of v, or the closed one when *closed*."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    m = g.adj[v]
-    return m | (1 << v) if closed else m
 
 
 def is_connected(g: Graph) -> bool:
@@ -337,7 +304,8 @@ def parse_graph(text: str) -> Graph:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # deep nesting exhausts the decoder's recursion before any check
             raise ValueError(f"bad graph JSON: {exc}") from None
         return graph_from_json_dict(obj)
     return graph_from_text(text)

@@ -7,19 +7,23 @@ come from boundary-matrix ranks:
 
 with the reduced convention that d_0 maps every vertex to the empty face,
 so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
-reduced homology at all.  Ranks are exact: fraction-free elimination over
-the rationals, or echelon forms over GF(p).
+reduced homology at all.  Ranks are exact: one elimination loop over the
+rationals (plain ints while a +-1 pivot exists), or echelon forms over GF(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, iter_bits
 from .linalg import matrix_rank, rank_gf2
 
 HomologyProfile = dict[int, int]
+
+# Largest graph whose subsets one sweep, or one reduced_homology_dims call,
+# will enumerate.
+MAX_SWEEP_VERTICES = 16
 
 
 class InvariantError(RuntimeError):
@@ -93,80 +97,6 @@ class FieldSpec:
         return "QQ" if self.p is None else f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract simplicial complex on vertices 0..n-1, stored by its facets.
-
-    ``facets`` holds the maximal faces as bitmasks, sorted, pairwise
-    non-nested.  The complex containing only the empty face is
-    ``facets == (0,)``; a complex is never void here.
-    """
-
-    n: int
-    facets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("negative vertex count")
-        if not isinstance(self.facets, tuple) or not self.facets:
-            raise ValueError("facets must be a nonempty tuple (use (0,) for {emptyset})")
-        full = (1 << self.n) - 1
-        prev = -1
-        for f in self.facets:
-            if not 0 <= f <= full:
-                raise ValueError(f"facet {f:#x} out of range for n={self.n}")
-            if f <= prev:
-                raise ValueError("facets must be strictly increasing")
-            prev = f
-        for f in self.facets:
-            for g in self.facets:
-                if f != g and f & g == f:
-                    raise ValueError("facet contained in another facet")
-
-    @classmethod
-    def from_faces(cls, n: int, faces: Iterable[int]) -> "SimplicialComplex":
-        """Complex generated by *faces* (downward closure of their maxima).
-
-        An empty iterable yields the complex {emptyset}.
-        """
-        fs = set(faces)
-        fs.add(0)
-        maximal = [f for f in fs if not any(f != g and f & g == f for g in fs)]
-        if not maximal:
-            maximal = [0]
-        return cls(n, tuple(sorted(maximal)))
-
-    @property
-    def dim(self) -> int:
-        """Dimension: largest face cardinality minus one (-1 for {emptyset})."""
-        return max(f.bit_count() for f in self.facets) - 1
-
-    def has_face(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self.facets)
-
-    def faces_by_card(self) -> list[list[int]]:
-        """All faces grouped by cardinality; level c lists the c-vertex faces.
-
-        Level 0 is always [0] (the empty face).  Each level is sorted.
-        """
-        top = self.dim + 1
-        levels: list[set[int]] = [set() for _ in range(top + 1)]
-        seen = set(self.facets)
-        stack = list(self.facets)
-        while stack:
-            m = stack.pop()
-            levels[m.bit_count()].add(m)
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                sub = m ^ low
-                if sub not in seen:
-                    seen.add(sub)
-                    stack.append(sub)
-        return [sorted(level) for level in levels]
-
-
 def independent_sets_by_card(adj: Sequence[int], vmask: int) -> list[list[int]]:
     """Independent subsets of *vmask*, grouped by cardinality.
 
@@ -192,13 +122,6 @@ def independent_sets_by_card(adj: Sequence[int], vmask: int) -> list[list[int]]:
     while len(levels) > 1 and not levels[-1]:
         levels.pop()
     return levels
-
-
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose faces are the independent vertex sets of *g*."""
-    levels = independent_sets_by_card(g.adj, g.vertices_mask())
-    faces = [m for level in levels for m in level]
-    return SimplicialComplex.from_faces(g.n, faces)
 
 
 def homology_dims_from_levels(levels: list[list[int]], p: int | None) -> HomologyProfile:
@@ -246,11 +169,12 @@ def homology_dims_from_levels(levels: list[list[int]], p: int | None) -> Homolog
     return dims
 
 
-def reduced_homology_dims(
-    cx: SimplicialComplex, field: FieldSpec = FieldSpec()
-) -> HomologyProfile:
-    """Reduced homology dimensions of *cx* over *field*, as k -> dim ~H_k.
+def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyProfile:
+    """Reduced homology dimensions of the independence complex Ind(*g*) over
+    *field*, as k -> dim ~H_k.
 
-    The map is dense on -1 .. dim(cx); every other degree is zero.
+    The map is dense on -1 .. dim Ind(g); every other degree is zero.
     """
-    return homology_dims_from_levels(cx.faces_by_card(), field.p)
+    if g.n > MAX_SWEEP_VERTICES:
+        raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
+    return homology_dims_from_levels(independent_sets_by_card(g.adj, g.vertices_mask()), field.p)

@@ -5,9 +5,9 @@ coefficient (boundary matrices have entries in {-1, +1}).  Everything is
 deterministic: pivot choices break ties by row then column index.
 
 The rational path is fraction free as long as a +-1 pivot exists, which for
-simplicial boundary matrices is essentially always; the rare leftover core
-falls back to dense Fraction elimination, so the result is exact in every
-case.
+simplicial boundary matrices is almost always; a core without one takes a
+non-unit pivot and continues in exact Fractions, so the result is exact in
+every case.
 """
 
 from __future__ import annotations
@@ -58,49 +58,15 @@ def rank_mod_p(rows: list[Row], p: int) -> int:
     return rank
 
 
-def _rank_fraction_dense(rows: list[Row]) -> int:
-    cols = sorted({c for r in rows for c in r})
-    idx = {c: i for i, c in enumerate(cols)}
-    mat = []
-    for r in rows:
-        dense = [Fraction(0)] * len(cols)
-        for c, v in r.items():
-            dense[idx[c]] = Fraction(v)
-        mat.append(dense)
-    rank = 0
-    top = 0
-    for col in range(len(cols)):
-        pivot = None
-        for rr in range(top, len(mat)):
-            if mat[rr][col]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        mat[top], mat[pivot] = mat[pivot], mat[top]
-        pv = mat[top][col]
-        for rr in range(top + 1, len(mat)):
-            f = mat[rr][col]
-            if f:
-                ratio = f / pv
-                row = mat[rr]
-                piv_row = mat[top]
-                for k in range(col, len(cols)):
-                    row[k] -= ratio * piv_row[k]
-        top += 1
-        rank += 1
-        if top == len(mat):
-            break
-    return rank
-
-
 def rank_rational(rows: list[Row]) -> int:
     """Exact rank over the rationals.
 
     Repeatedly pivots on a +-1 entry chosen Markowitz style (minimal fill
     estimate (len(row)-1)*(colcount-1)), which keeps all arithmetic in plain
     ints.  If the active matrix still has entries but none of them is +-1,
-    the remaining core goes through dense Fraction elimination.
+    it pivots on the lowest column of the first active row instead; from
+    then on the entries are exact Fractions, and a later +-1 (int or
+    Fraction) is again preferred.
     """
     act = []
     for r in rows:
@@ -122,15 +88,17 @@ def rank_rational(rows: list[Row]) -> int:
                     if best is None or key < best:
                         best = key
         if best is None:
-            return rank + _rank_fraction_dense(act)
-        _, pi, pc = best
+            pi, pc = 0, min(act[0])
+        else:
+            _, pi, pc = best
         piv = act.pop(pi)
         pv = piv[pc]
+        inv = pv if pv in (1, -1) else 1 / Fraction(pv)
         nxt = []
         for r in act:
             f = r.get(pc)
             if f:
-                mult = f * pv  # == f / pv for pv in {1, -1}
+                mult = f * inv  # == f / pv
                 for c, v in piv.items():
                     nv = r.get(c, 0) - mult * v
                     if nv:

@@ -27,6 +27,27 @@ def independent_subsets(g, w: frozenset[int]) -> list[frozenset[int]]:
     return out
 
 
+def face_levels(n: int, generators) -> list[list[int]]:
+    """Faces of the complex generated by *generators* (bitmasks on n vertices),
+    grouped by cardinality as `homology_dims_from_levels` takes them.
+
+    Level c lists the c-vertex faces in increasing order; level 0 is [0], so
+    no generators give the complex {emptyset}.
+    """
+    faces = {0}
+    for gen in generators:
+        if not 0 <= gen < 1 << n:
+            raise ValueError(f"generator {gen:#x} out of range for n={n}")
+        sub = gen
+        while sub:  # every nonempty submask of gen
+            faces.add(sub)
+            sub = (sub - 1) & gen
+    levels = [[] for _ in range(max(f.bit_count() for f in faces) + 1)]
+    for f in sorted(faces):
+        levels[f.bit_count()].append(f)
+    return levels
+
+
 def naive_homology_dims(faces: list[frozenset[int]]) -> dict[int, int]:
     """Reduced homology over QQ of the complex with the given face list."""
     by_card: dict[int, list[frozenset[int]]] = {}

@@ -1,10 +1,12 @@
 """Betti tables via the subset-homology sweep, checked against naive recomputation."""
 
 import itertools
+import os
 import random
 
 import pytest
 
+from edgebetti import betti
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
@@ -159,6 +161,32 @@ def test_parallel_sweep_agrees_with_serial():
     serial = betti_table(g, jobs=1)
     parallel = betti_table(g, jobs=2)
     assert parallel == serial
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    # The pool is a fake that records its size and runs the chunks in this
+    # process, so no oversized pool is ever started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(betti.multiprocessing, "Pool", SerialPool)
+    g = star_triangle(3)
+    serial = betti_table(g, jobs=1)
+    for jobs in (2, 10**9):
+        assert betti_table(g, jobs=jobs) == serial
+    assert sizes and max(sizes) <= (os.cpu_count() or 1)
 
 
 def test_jobs_below_one_rejected():

@@ -64,6 +64,26 @@ def test_gen_bad_params(capsys):
         main(["gen", "petersen", "1"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "path-star", "32"],
+        ["gen", "path-star", "1000000000"],
+        ["betti", "--family", "path-star:1000000000"],
+    ],
+)
+def test_family_order_capped_before_building(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_gen_largest_family_reads_back(capsys):
+    code, out, _ = run(capsys, "gen", "path-star", "31")  # 63 vertices
+    assert code == 0
+    assert parse_graph(out) == path_star(31)
+
+
 def test_betti_grid_from_file(capsys, tmp_path):
     f = tmp_path / "triangle.txt"
     f.write_text("3 3\n0 1\n0 2\n1 2\n")
@@ -134,6 +154,9 @@ def test_betti_rejects_jobs_below_one(capsys):
         # per-vertex allocation, in both formats
         '{"n":1000000000,"edges":[]}',
         "1000000000 0",
+        # nesting deep enough to exhaust the JSON decoder's recursion (a
+        # short id: pytest puts the test id in the subprocess environment)
+        pytest.param('{"n":' * 50000, id="deep-nesting"),
     ],
 )
 def test_betti_rejects_malformed_json(text):

@@ -1,4 +1,4 @@
-"""Bitset graph core: construction, induced subgraphs, chordality, matchings, I/O."""
+"""Bitset graph core: construction, chordality, matchings, I/O."""
 
 import itertools
 import json
@@ -15,13 +15,11 @@ from edgebetti.graphs import (
     graph_to_json_dict,
     graph_to_text,
     induced_matching_number,
-    induced_subgraph,
     is_chordal,
     is_connected,
     is_induced_matching,
     iter_bits,
     mask_of,
-    neighborhood,
     new_graph,
     parse_graph,
 )
@@ -84,31 +82,6 @@ def test_graph_equality_ignores_labels():
     b = new_graph(2, [(0, 1)])
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_induced_subgraph():
-    g = cycle(5)
-    h, kept = induced_subgraph(g, [0, 1, 3])
-    assert h.n == 3
-    assert h.edges() == [(0, 1)]
-    assert kept == (0, 1, 3)
-    # Full vertex set reproduces the graph; masks work too.
-    h2, _ = induced_subgraph(g, range(5))
-    assert h2 == g
-    h3, _ = induced_subgraph(g, mask_of([0, 1, 3]))
-    assert h3 == h
-
-
-def test_induced_subgraph_keeps_labels():
-    g = new_graph(3, [(0, 1)], labels=["a", "b", "c"])
-    h, _ = induced_subgraph(g, [0, 2])
-    assert h.labels == ("a", "c")
-
-
-def test_neighborhood():
-    g = path(4)
-    assert neighborhood(g, 1) == mask_of([0, 2])
-    assert neighborhood(g, 1, closed=True) == mask_of([0, 1, 2])
 
 
 def test_is_connected():
@@ -234,3 +207,31 @@ def test_format_graph_dispatch():
     assert json.loads(format_graph(g, "json")) == graph_to_json_dict(g)
     with pytest.raises(ValueError):
         format_graph(g, "dot")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "labels"]) | st.text(max_size=3), kids),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.lists(st.integers(-3, 70), max_size=16).map(lambda xs: " ".join(map(str, xs))),
+        _JSON_VALUES.map(json.dumps),
+        st.fixed_dictionaries(
+            {"n": st.integers(-3, 70), "edges": _JSON_VALUES}, optional={"labels": _JSON_VALUES}
+        ).map(json.dumps),
+    )
+)
+def test_parse_graph_fails_only_with_value_error(text):
+    # Any input the CLI can be handed either parses or raises ValueError,
+    # which the CLI reports as one "error:" line with exit code 2.
+    try:
+        parse_graph(text)
+    except ValueError:
+        pass

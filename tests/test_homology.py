@@ -1,23 +1,23 @@
-"""Field parsing, simplicial complexes, and reduced homology on known spaces."""
+"""Field parsing, independence complexes, and reduced homology on known spaces."""
 
 import itertools
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from edgebetti import linalg
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     FieldSpec,
-    SimplicialComplex,
     homology_dims_from_levels,
-    independence_complex,
     independent_sets_by_card,
     reduced_homology_dims,
 )
 
-from oracles import independent_subsets, naive_homology_dims
+from oracles import face_levels, independent_subsets, naive_homology_dims
 
 
 def test_fieldspec_parse():
@@ -46,39 +46,6 @@ def test_fieldspec_str():
     assert str(FieldSpec.gf(5)) == "GF(5)"
 
 
-def test_complex_validation():
-    SimplicialComplex(0, (0,))  # {emptyset} is legal
-    with pytest.raises(ValueError):
-        SimplicialComplex(2, ())
-    with pytest.raises(ValueError):
-        SimplicialComplex(1, (0b10,))  # facet out of range
-    with pytest.raises(ValueError):
-        SimplicialComplex(2, (0b11, 0b01))  # not sorted / nested
-    with pytest.raises(ValueError):
-        SimplicialComplex(2, (0b01, 0b11))  # nested facets
-
-
-def test_from_faces_keeps_maximal():
-    cx = SimplicialComplex.from_faces(3, [0b011, 0b001, 0b100])
-    assert cx.facets == (0b011, 0b100)
-    assert SimplicialComplex.from_faces(3, []).facets == (0,)
-
-
-def test_dim_and_has_face():
-    cx = SimplicialComplex.from_faces(3, [0b011, 0b100])
-    assert cx.dim == 1
-    assert cx.has_face(0)
-    assert cx.has_face(0b010)
-    assert not cx.has_face(0b110)
-    assert SimplicialComplex(0, (0,)).dim == -1
-
-
-def test_faces_by_card():
-    cx = SimplicialComplex.from_faces(3, [0b011, 0b101])
-    levels = cx.faces_by_card()
-    assert levels == [[0], [0b001, 0b010, 0b100], [0b011, 0b101]]
-
-
 def test_independent_sets_by_card_path():
     g = new_graph(3, [(0, 1), (1, 2)])
     levels = independent_sets_by_card(g.adj, g.vertices_mask())
@@ -103,63 +70,93 @@ def test_independent_sets_match_oracle():
 
 def test_independence_complex_small():
     # Single edge: two isolated points.
-    assert independence_complex(new_graph(2, [(0, 1)])).facets == (0b01, 0b10)
+    k2 = new_graph(2, [(0, 1)])
+    assert independent_sets_by_card(k2.adj, k2.vertices_mask()) == [[0], [0b01, 0b10]]
     # 4-cycle 0-1-2-3: the two diagonals.
     c4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert independence_complex(c4).facets == (0b0101, 0b1010)
+    assert independent_sets_by_card(c4.adj, c4.vertices_mask())[2] == [0b0101, 0b1010]
     # Edgeless graph: the full simplex.
-    assert independence_complex(new_graph(3, [])).facets == (0b111,)
+    e3 = new_graph(3, [])
+    assert independent_sets_by_card(e3.adj, e3.vertices_mask())[3] == [0b111]
 
 
 def test_independence_complex_c5():
     # Pentagon: independence complex is again a 5-cycle (facets = the five
     # independent pairs), with one circle's worth of homology.
     g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    cx = independence_complex(g)
-    assert cx.facets == (0b00101, 0b01001, 0b01010, 0b10010, 0b10100)
-    assert reduced_homology_dims(cx) == {-1: 0, 0: 0, 1: 1}
+    levels = independent_sets_by_card(g.adj, g.vertices_mask())
+    assert levels[2] == [0b00101, 0b01001, 0b01010, 0b10010, 0b10100]
+    assert reduced_homology_dims(g) == {-1: 0, 0: 0, 1: 1}
 
 
 def test_homology_empty_complex():
-    # {emptyset} alone: dim ~H_{-1} = 1.
-    cx = SimplicialComplex(0, (0,))
-    assert reduced_homology_dims(cx) == {-1: 1}
+    # The graph on no vertices: Ind is {emptyset} alone, dim ~H_{-1} = 1.
+    assert reduced_homology_dims(new_graph(0, [])) == {-1: 1}
 
 
 def test_homology_point_and_simplex():
-    pt = SimplicialComplex.from_faces(1, [0b1])
-    assert reduced_homology_dims(pt) == {-1: 0, 0: 0}
-    simplex = SimplicialComplex.from_faces(3, [0b111])
-    assert reduced_homology_dims(simplex) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert reduced_homology_dims(new_graph(1, [])) == {-1: 0, 0: 0}
+    assert reduced_homology_dims(new_graph(3, [])) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_homology_two_points():
-    cx = SimplicialComplex.from_faces(2, [0b01, 0b10])
-    assert reduced_homology_dims(cx) == {-1: 0, 0: 1}
+    assert reduced_homology_dims(new_graph(2, [(0, 1)])) == {-1: 0, 0: 1}
+
+
+def test_homology_octahedron_and_cones():
+    # Ind(3K2) is the join of three 0-spheres: the octahedral 2-sphere.
+    three_k2 = new_graph(6, [(0, 1), (2, 3), (4, 5)])
+    assert reduced_homology_dims(three_k2) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    # An isolated vertex lies in every maximal face: Ind is a cone.
+    c5_plus_point = new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for g in (new_graph(7, three_k2.edges()), c5_plus_point):
+        assert not any(reduced_homology_dims(g).values())
 
 
 def test_homology_hollow_triangle_and_sphere():
-    triangle = SimplicialComplex.from_faces(3, [0b011, 0b101, 0b110])
-    assert reduced_homology_dims(triangle) == {-1: 0, 0: 0, 1: 1}
+    # Not flag complexes, so they are built from generators, not graphs.
+    triangle = face_levels(3, [0b011, 0b101, 0b110])
+    assert homology_dims_from_levels(triangle, None) == {-1: 0, 0: 0, 1: 1}
     # Boundary of the tetrahedron: a 2-sphere.
-    faces = [0b1111 ^ (1 << v) for v in range(4)]
-    sphere = SimplicialComplex.from_faces(4, faces)
-    assert reduced_homology_dims(sphere) == {-1: 0, 0: 0, 1: 0, 2: 1}
+    sphere = face_levels(4, [0b1111 ^ (1 << v) for v in range(4)])
+    assert homology_dims_from_levels(sphere, None) == {-1: 0, 0: 0, 1: 0, 2: 1}
 
 
-def test_homology_field_dependence_projective_plane():
-    # Minimal 6-vertex triangulation of the real projective plane: H_1 is
-    # pure 2-torsion, so GF(2) sees a dimension in degrees 1 and 2 while QQ
-    # and GF(3) see nothing.
+def _projective_plane_graph():
+    # Barycentric subdivision of the minimal 6-vertex RP^2: one vertex per
+    # face, one simplex per chain of faces.  It is flag, so it is Ind(G) for G
+    # the complement of its 1-skeleton, i.e. G joins incomparable faces.
     triangles = [
         (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
         (1, 2, 4), (1, 2, 5), (1, 3, 5), (2, 3, 4), (3, 4, 5),
     ]
-    cx = SimplicialComplex.from_faces(6, [mask_of(t) for t in triangles])
-    assert len(cx.faces_by_card()[2]) == 15  # every edge of K6 shows up
-    assert reduced_homology_dims(cx, FieldSpec.rationals()) == {-1: 0, 0: 0, 1: 0, 2: 0}
-    assert reduced_homology_dims(cx, FieldSpec.gf(2)) == {-1: 0, 0: 0, 1: 1, 2: 1}
-    assert reduced_homology_dims(cx, FieldSpec.gf(3)) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    faces = sorted(
+        {mask_of(f) for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)}
+    )
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(faces)), 2)
+        if faces[a] & faces[b] not in (faces[a], faces[b])
+    ]
+    return new_graph(len(faces), edges)
+
+
+def test_homology_field_dependence_projective_plane(monkeypatch):
+    # H_1(RP^2) is pure 2-torsion, so GF(2) sees a dimension in degrees 1
+    # and 2 while QQ and GF(3) see nothing.
+    g = _projective_plane_graph()
+    with pytest.raises(ValueError, match="31 > 16"):
+        reduced_homology_dims(g)  # above the sweep cap; use the levels directly
+    levels = independent_sets_by_card(g.adj, g.vertices_mask())
+    assert [len(level) for level in levels] == [1, 31, 90, 60]
+    # The torsion leaves a QQ core with no +-1 entry: count the non-unit
+    # pivots rank_rational takes through its Fraction inverse.
+    pivots = []
+    monkeypatch.setattr(linalg, "Fraction", lambda v: pivots.append(v) or Fraction(v))
+    assert homology_dims_from_levels(levels, None) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert pivots
+    assert homology_dims_from_levels(levels, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert homology_dims_from_levels(levels, 3) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_homology_matches_oracle_on_random_complexes():
@@ -170,8 +167,7 @@ def test_homology_matches_oracle_on_random_complexes():
         n = rng.randint(1, 6)
         universe = range(1, 1 << n)
         gens = rng.sample(universe, k=min(rng.randint(1, 8), (1 << n) - 1))
-        cx = SimplicialComplex.from_faces(n, gens)
-        levels = cx.faces_by_card()
+        levels = face_levels(n, gens)
         faces = [frozenset(iter_bits(m)) for level in levels for m in level]
         assert homology_dims_from_levels(levels, None) == naive_homology_dims(faces)
 
@@ -183,8 +179,7 @@ def test_cone_has_no_reduced_homology():
         pool = range(1, 1 << (n - 1))
         gens = rng.sample(pool, k=min(rng.randint(1, 6), len(pool)))
         apex = 1 << (n - 1)
-        cx = SimplicialComplex.from_faces(n, [m | apex for m in gens])
-        dims = reduced_homology_dims(cx)
+        dims = homology_dims_from_levels(face_levels(n, [m | apex for m in gens]), None)
         assert all(v == 0 for v in dims.values())
 
 

@@ -60,12 +60,19 @@ def test_rank_differs_between_fields():
     assert matrix_rank(rows, p=5) == 1
 
 
-def test_rank_rational_dense_fallback():
-    # No +-1 entries anywhere: forces the Fraction path.
+def test_rank_rational_non_unit_pivots():
+    # No +-1 entries anywhere: every pivot is non-unit and the elimination
+    # continues in Fractions.
     rows = [{0: 2, 1: 4}, {0: 6, 1: 8}, {0: 2, 1: 4}]
     assert rank_rational(rows) == 2
     rows = [{0: 2}, {0: 4}]
     assert rank_rational(rows) == 1
+    # All-even random matrices stay free of +-1 entries for several pivots.
+    rng = random.Random(4)
+    for _ in range(80):
+        rows = _random_rows(rng, rng.randint(1, 7), 7, 0.6, lo=-5, hi=5)
+        rows = [{c: 2 * v for c, v in r.items()} for r in rows]
+        assert rank_rational(rows) == sympy_rank(rows, 7)
 
 
 def test_matrix_rank_dispatch_gf2_parity():
