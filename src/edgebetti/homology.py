@@ -7,8 +7,9 @@ come from boundary-matrix ranks:
 
 with the reduced convention that d_0 maps every vertex to the empty face,
 so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
-reduced homology at all.  Ranks are exact: one elimination loop over the
-rationals (plain ints while a +-1 pivot exists), or echelon forms over GF(p).
+reduced homology at all.  Ranks are exact: one online echelon loop over the
+rationals (plain ints while every pivot leads with +-1) or GF(p), and bitmask
+XOR elimination over GF(2).
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Exact rank of sparse integer matrices, over the rationals or GF(p).
 
 Matrices arrive as lists of rows, each row a dict column -> nonzero int
-coefficient (boundary matrices have entries in {-1, +1}).  Everything is
-deterministic: pivot choices break ties by row then column index.
+coefficient (boundary matrices have entries in {-1, +1}).  GF(2) rows may
+instead come as bitmasks, for ``rank_gf2``.
 
-The rational path is fraction free as long as a +-1 pivot exists, which for
-simplicial boundary matrices is almost always; a core without one takes a
-non-unit pivot and continues in exact Fractions, so the result is exact in
-every case.
+``matrix_rank`` is one online echelon loop for every field.  Each row is
+reduced against the pivot rows stored so far, which are keyed by their
+highest column and scaled to lead with 1; a row that does not reduce to zero
+becomes the next pivot.  Over GF(p) every entry is reduced mod p.  Over the
+rationals a lead of +-1 keeps the pivot in plain ints, which for simplicial
+boundary matrices is almost always the case; any other lead is divided out
+as an exact ``Fraction``, so the result is exact in every case.  The work is
+deterministic: rows are taken in the order given.
 """
 
 from __future__ import annotations
@@ -33,87 +37,35 @@ def rank_gf2(masks: list[int]) -> int:
     return rank
 
 
-def rank_mod_p(rows: list[Row], p: int) -> int:
-    """Rank over GF(p), by online reduction to row echelon form."""
+def matrix_rank(rows: list[Row], p: int | None = None) -> int:
+    """Rank of an integer matrix over QQ (p None) or GF(p), p prime."""
     pivots: dict[int, Row] = {}
-    rank = 0
     for row in rows:
-        r = {c: v % p for c, v in row.items() if v % p}
+        if p is None:
+            r = {c: v for c, v in row.items() if v}
+        else:
+            r = {c: v % p for c, v in row.items() if v % p}
         while r:
-            c = min(r)
+            c = max(r)
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(r[c], -1, p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in r.items()}
-                rank += 1
+                lead = r[c]
+                if lead != 1:
+                    if p is not None:
+                        inv = pow(lead, -1, p)
+                        r = {cc: vv * inv % p for cc, vv in r.items()}
+                    else:
+                        inv = -1 if lead == -1 else Fraction(1, lead)
+                        r = {cc: vv * inv for cc, vv in r.items()}
+                pivots[c] = r
                 break
             f = r[c]
             for cc, vv in piv.items():
-                nv = (r.get(cc, 0) - f * vv) % p
+                nv = r.get(cc, 0) - f * vv
+                if p is not None:
+                    nv %= p
                 if nv:
                     r[cc] = nv
                 else:
-                    r.pop(cc, None)
-        # zero rows contribute nothing
-    return rank
-
-
-def rank_rational(rows: list[Row]) -> int:
-    """Exact rank over the rationals.
-
-    Repeatedly pivots on a +-1 entry chosen Markowitz style (minimal fill
-    estimate (len(row)-1)*(colcount-1)), which keeps all arithmetic in plain
-    ints.  If the active matrix still has entries but none of them is +-1,
-    it pivots on the lowest column of the first active row instead; from
-    then on the entries are exact Fractions, and a later +-1 (int or
-    Fraction) is again preferred.
-    """
-    act = []
-    for r in rows:
-        rr = {c: v for c, v in r.items() if v}
-        if rr:
-            act.append(rr)
-    rank = 0
-    while act:
-        colcount: dict[int, int] = {}
-        for r in act:
-            for c in r:
-                colcount[c] = colcount.get(c, 0) + 1
-        best = None
-        for ri, r in enumerate(act):
-            fill_row = len(r) - 1
-            for c, v in r.items():
-                if v == 1 or v == -1:
-                    key = (fill_row * (colcount[c] - 1), ri, c)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            pi, pc = 0, min(act[0])
-        else:
-            _, pi, pc = best
-        piv = act.pop(pi)
-        pv = piv[pc]
-        inv = pv if pv in (1, -1) else 1 / Fraction(pv)
-        nxt = []
-        for r in act:
-            f = r.get(pc)
-            if f:
-                mult = f * inv  # == f / pv
-                for c, v in piv.items():
-                    nv = r.get(c, 0) - mult * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-            if r:
-                nxt.append(r)
-        act = nxt
-        rank += 1
-    return rank
-
-
-def matrix_rank(rows: list[Row], p: int | None = None) -> int:
-    """Rank of an integer matrix over QQ (p None) or GF(p)."""
-    if p is None:
-        return rank_rational(rows)
-    return rank_mod_p(rows, p)
+                    del r[cc]
+    return len(pivots)

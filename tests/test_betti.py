@@ -3,10 +3,12 @@
 import itertools
 import os
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from edgebetti import betti
+from edgebetti import betti, linalg
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
@@ -154,6 +156,45 @@ def test_field_changes_nothing_on_small_graphs():
         t_qq = betti_table(g)
         assert betti_table(g, field=FieldSpec.gf(2)).entries == t_qq.entries
         assert betti_table(g, field=FieldSpec.gf(3)).entries == t_qq.entries
+
+
+# A flag RP^2 on 12 vertices: the 6-vertex RP^2 (triangles 012 023 034 045
+# 051 124 235 341 452 513) with six edges subdivided.  It is Ind(G) for G the
+# complement of its 1-skeleton, so its 2-torsion reaches the table at W = V.
+RP2_WITNESS = new_graph(12, [tuple(map(int, e.split("-"))) for e in (
+    "0-1 0-7 0-8 0-9 0-10 0-11 1-2 1-4 1-9 1-10 2-4 2-5 2-11 3-5 3-6 3-7 3-9 "
+    "3-10 4-6 4-8 4-10 5-7 5-11 6-8 6-9 6-10 6-11 7-8 7-10 8-9 8-11 9-11 10-11"
+).split()])
+RP2_WITNESS_QQ = {
+    (0, 0): 1, (1, 1): 33, (2, 1): 132, (3, 1): 226, (4, 1): 195, (5, 1): 85,
+    (6, 1): 20, (7, 1): 2, (2, 2): 28, (3, 2): 195, (4, 2): 547, (5, 2): 812,
+    (6, 2): 695, (7, 2): 352, (8, 2): 99, (9, 2): 12,
+}
+
+
+def test_table_depends_on_field_rp2_witness(monkeypatch):
+    pivots = []
+    monkeypatch.setattr(linalg, "Fraction", lambda *a: pivots.append(a) or Fraction(*a))
+    tables = {}
+    for p in (None, 2, 3):
+        # Each sweep must take under 0.5 s of CPU time; a slow moment on a
+        # shared host gets two more tries.
+        for _ in range(3):
+            pivots.clear()
+            t0 = time.process_time()
+            tables[p] = betti_table(RP2_WITNESS, FieldSpec(p)).entries
+            if time.process_time() - t0 < 0.5:
+                break
+        else:
+            pytest.fail(f"the {FieldSpec(p)} sweep took 0.5 s or more three times")
+        if p is None:
+            # the whole QQ sweep takes exactly one non-unit pivot
+            assert len(pivots) == 1
+    assert tables[None] == RP2_WITNESS_QQ
+    assert tables[3] == tables[None]
+    gf2 = dict(tables[None])
+    gf2[9, 3] = gf2[10, 2] = 1
+    assert tables[2] == gf2
 
 
 def test_parallel_sweep_agrees_with_serial():

@@ -11,6 +11,7 @@ import pytest
 from edgebetti import linalg
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
+    MAX_SWEEP_VERTICES,
     FieldSpec,
     homology_dims_from_levels,
     independent_sets_by_card,
@@ -149,14 +150,26 @@ def test_homology_field_dependence_projective_plane(monkeypatch):
         reduced_homology_dims(g)  # above the sweep cap; use the levels directly
     levels = independent_sets_by_card(g.adj, g.vertices_mask())
     assert [len(level) for level in levels] == [1, 31, 90, 60]
-    # The torsion leaves a QQ core with no +-1 entry: count the non-unit
-    # pivots rank_rational takes through its Fraction inverse.
+    # The torsion leaves a QQ row whose lead is not +-1: count the non-unit
+    # pivots matrix_rank scales through a Fraction.
     pivots = []
-    monkeypatch.setattr(linalg, "Fraction", lambda v: pivots.append(v) or Fraction(v))
+    monkeypatch.setattr(linalg, "Fraction", lambda *a: pivots.append(a) or Fraction(*a))
     assert homology_dims_from_levels(levels, None) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert pivots
     assert homology_dims_from_levels(levels, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
     assert homology_dims_from_levels(levels, 3) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def test_cycle_homology_matches_kozlov_up_to_the_cap():
+    # Kozlov (J. Combin. Theory Ser. A 88, 1999): Ind(C_n) is a wedge of two
+    # (k-1)-spheres for n = 3k, S^(k-1) for n = 3k+1 and S^k for n = 3k+2.
+    for n in range(3, MAX_SWEEP_VERTICES + 1):
+        k, rest = divmod(n, 3)
+        expected = ({k - 1: 2}, {k - 1: 1}, {k: 1})[rest]
+        cycle = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        for p in (None, 2, 3):
+            dims = reduced_homology_dims(cycle, FieldSpec(p))
+            assert {d: v for d, v in dims.items() if v} == expected, (n, p)
 
 
 def test_homology_matches_oracle_on_random_complexes():

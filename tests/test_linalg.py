@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from edgebetti.linalg import matrix_rank, rank_gf2, rank_mod_p, rank_rational
+from edgebetti.linalg import matrix_rank, rank_gf2
 
 
 def sympy_rank(rows, ncols, p=None):
@@ -26,32 +26,32 @@ def test_rank_gf2_basics():
 
 
 def test_rank_mod_p_basics():
-    assert rank_mod_p([], 3) == 0
-    assert rank_mod_p([{0: 3}], 3) == 0  # 3 == 0 mod 3
-    assert rank_mod_p([{0: 1}, {1: 5}, {0: 4, 1: 1}], 5) == 2
-    assert rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 2}], 7) == 2
+    assert matrix_rank([], 3) == 0
+    assert matrix_rank([{0: 3}], 3) == 0  # 3 == 0 mod 3
+    assert matrix_rank([{0: 1}, {1: 5}, {0: 4, 1: 1}], 5) == 2
+    assert matrix_rank([{0: 1, 1: 1}, {0: 1, 1: 2}], 7) == 2
 
 
 def test_rank_mod_p_dependent_rows():
     # 2 * (1, 2) == (2, 4) over any field: rank 1 everywhere.
     rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
     for p in (2, 3, 5, 7):
-        assert rank_mod_p(rows, p) == 1
-    assert rank_rational(rows) == 1
+        assert matrix_rank(rows, p) == 1
+    assert matrix_rank(rows) == 1
 
 
 def test_rank_rational_basics():
-    assert rank_rational([]) == 0
-    assert rank_rational([{}]) == 0
-    assert rank_rational([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+    assert matrix_rank([]) == 0
+    assert matrix_rank([{}]) == 0
+    assert matrix_rank([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
     ident = [{i: 1} for i in range(6)]
-    assert rank_rational(ident) == 6
+    assert matrix_rank(ident) == 6
 
 
 def test_rank_differs_between_fields():
     # [[1,1],[1,-1]] is invertible over QQ but singular mod 2.
     rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-    assert rank_rational(rows) == 2
+    assert matrix_rank(rows) == 2
     assert matrix_rank(rows, p=2) == 1
     # An all-3 entries matrix vanishes mod 3 only.
     rows = [{0: 3, 1: 3}]
@@ -64,15 +64,15 @@ def test_rank_rational_non_unit_pivots():
     # No +-1 entries anywhere: every pivot is non-unit and the elimination
     # continues in Fractions.
     rows = [{0: 2, 1: 4}, {0: 6, 1: 8}, {0: 2, 1: 4}]
-    assert rank_rational(rows) == 2
+    assert matrix_rank(rows) == 2
     rows = [{0: 2}, {0: 4}]
-    assert rank_rational(rows) == 1
+    assert matrix_rank(rows) == 1
     # All-even random matrices stay free of +-1 entries for several pivots.
     rng = random.Random(4)
     for _ in range(80):
         rows = _random_rows(rng, rng.randint(1, 7), 7, 0.6, lo=-5, hi=5)
         rows = [{c: 2 * v for c, v in r.items()} for r in rows]
-        assert rank_rational(rows) == sympy_rank(rows, 7)
+        assert matrix_rank(rows) == sympy_rank(rows, 7)
 
 
 def test_matrix_rank_dispatch_gf2_parity():
@@ -102,7 +102,7 @@ def test_rank_matches_sympy_on_random_pm1_matrices():
     for _ in range(60):
         rows = _random_rows(rng, rng.randint(0, 7), rng.randint(1, 7), 0.4)
         expected = sympy_rank(rows, 7)
-        assert rank_rational(rows) == expected
+        assert matrix_rank(rows) == expected
         for p in (2, 3, 5):
             assert matrix_rank(rows, p=p) == sympy_rank(rows, 7, p=p)
 
@@ -111,7 +111,7 @@ def test_rank_matches_sympy_with_larger_entries():
     rng = random.Random(3)
     for _ in range(40):
         rows = _random_rows(rng, rng.randint(1, 6), rng.randint(1, 6), 0.5, lo=-9, hi=9)
-        assert rank_rational(rows) == sympy_rank(rows, 6)
+        assert matrix_rank(rows) == sympy_rank(rows, 6)
         assert matrix_rank(rows, p=7) == sympy_rank(rows, 6, p=7)
 
 
@@ -123,7 +123,7 @@ def test_rank_matches_sympy_with_larger_entries():
     )
 )
 def test_rank_field_invariants(rows):
-    r_qq = rank_rational([dict(r) for r in rows])
+    r_qq = matrix_rank([dict(r) for r in rows])
     # Rank over QQ can only drop when reducing mod p.
     for p in (2, 3):
         assert matrix_rank([dict(r) for r in rows], p=p) <= r_qq
@@ -131,9 +131,11 @@ def test_rank_field_invariants(rows):
 
 
 def test_rank_does_not_mutate_input():
-    rows = [{0: 1, 1: -1}, {0: 1, 1: 1}]
+    # Leads of +1, -1 and 2: the kept pivot, the negated one and the
+    # Fraction-scaled one must all be copies.
+    rows = [{0: 1, 1: -1}, {0: 1, 1: 1}, {1: 1, 2: 2}, {0: 3, 2: 2}, {2: 1}]
     snapshot = [dict(r) for r in rows]
-    rank_rational(rows)
+    matrix_rank(rows)
     matrix_rank(rows, p=2)
-    rank_mod_p(rows, 3)
+    matrix_rank(rows, 3)
     assert rows == snapshot
