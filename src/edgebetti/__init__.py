@@ -61,7 +61,6 @@ from .verify import (
     verify_cert_support,
     verify_gpr1,
     verify_grb,
-    verify_path_star,
     verify_reg_eq_indmatch,
 )
 
@@ -108,6 +107,5 @@ __all__ = [
     "verify_cert_support",
     "verify_gpr1",
     "verify_grb",
-    "verify_path_star",
     "verify_reg_eq_indmatch",
 ]

@@ -19,8 +19,6 @@ from independent-set counts; the two must agree for every graph.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -109,46 +107,24 @@ def _hochster_terms(
             yield w, homology_dims_from_levels(independent_sets_by_card(adj, w), p)
 
 
-def _sweep_range(adj: tuple[int, ...], lo: int, hi: int, p: int | None) -> dict:
-    """Hochster contributions of all subsets lo <= W < hi (as masks)."""
-    cells: dict[Position, int] = {}
-    for w, dims in _hochster_terms(adj, range(lo, hi), p):
-        size = w.bit_count()
-        for k, d in dims.items():
-            if d:
-                key = (size - k - 1, k + 1)
-                cells[key] = cells.get(key, 0) + d
-    return cells
-
-
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:
     """Full graded Betti table of S/I(g) over *field*.
 
-    Sweeps the nonempty subsets W as masks 1 .. 2^n - 1, serially or, with
-    jobs > 1, in parallel over chunks of that range on at most
-    ``os.cpu_count()`` workers.  Aggregation is plain addition per cell, so
-    the result is identical for every schedule.
+    Sweeps the nonempty subsets W as masks 1 .. 2^n - 1 in one serial loop.
+    ``jobs`` is accepted for existing callers: it must be at least 1 and has
+    no other effect.
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    adj = tuple(g.adj)
-    total = 1 << g.n
-    if jobs == 1 or g.n < 4:
-        parts = [_sweep_range(adj, 1, total, field.p)]
-    else:
-        jobs = min(jobs, os.cpu_count() or 1)
-        nchunks = min(total, jobs * 8)
-        step = total // nchunks
-        bounds = [1] + [step * c for c in range(1, nchunks)] + [total]
-        args = [(adj, bounds[c], bounds[c + 1], field.p) for c in range(nchunks)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(_sweep_range, args)
     cells: dict[Position, int] = {(0, 0): 1}
-    for part in parts:
-        for key, v in part.items():
-            cells[key] = cells.get(key, 0) + v
+    for w, dims in _hochster_terms(tuple(g.adj), range(1, 1 << g.n), field.p):
+        size = w.bit_count()
+        for k, d in dims.items():
+            if d:
+                key = (size - k - 1, k + 1)
+                cells[key] = cells.get(key, 0) + d
     return BettiTable(g.n, cells)
 
 

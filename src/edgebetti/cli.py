@@ -32,11 +32,12 @@ from .verify import (
     MAX_TREE_VERTICES,
     all_chordal_graphs,
     all_trees,
+    check_gpr1_params,
+    check_grb_params,
     random_chordal,
     verify_cert_support,
     verify_gpr1,
     verify_grb,
-    verify_path_star,
     verify_reg_eq_indmatch,
 )
 
@@ -71,6 +72,30 @@ def _parse_range(text: str, symbol: str | None = None) -> tuple[int, int | str]:
     return value, value
 
 
+def _param_grid(args, outer: str, inner: str, top, check) -> list[tuple[int, int]]:
+    """Every (outer, inner) pair that the scope's two range flags name.
+
+    The inner range may end in the outer flag's name, e.g. "--b 2..r",
+    which stands for ``top(outer value)``.  Every range must be nonempty
+    and every pair must pass *check*, the family's parameter rule, before
+    the first report runs.  The rule caps both values, so even a huge
+    range fails within a few pairs.
+    """
+    o_lo, o_hi = _parse_range(getattr(args, outer))
+    i_lo, i_hi = _parse_range(getattr(args, inner), symbol=outer)
+    if o_hi < o_lo:
+        raise ValueError(f"empty range --{outer} {o_lo}..{o_hi}")
+    grid = []
+    for a in range(o_lo, o_hi + 1):
+        top_a = top(a) if i_hi == outer else i_hi
+        if top_a < i_lo:
+            raise ValueError(f"empty range --{inner} {i_lo}..{top_a} at {outer} = {a}")
+        for b in range(i_lo, top_a + 1):
+            check(a, b)
+            grid.append((a, b))
+    return grid
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     g = build_family(args.family, tuple(args.params))
     text = format_graph(g, args.format)
@@ -89,7 +114,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
         i, j = args.cell
         print(betti_single(g, i, j, field))
         return 0
-    table = betti_table(g, field, jobs=args.jobs)
+    table = betti_table(g, field)
     if args.json:
         fmt = "json"
     elif args.csv:
@@ -138,14 +163,18 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
             "need exactly one graph source: --family, an input file, "
             "--trees-upto, --all-chordal-upto or --random"
         )
-    for flag, upto, enum_cap in (
-        ("--trees-upto", args.trees_upto, MAX_TREE_VERTICES),
-        ("--all-chordal-upto", args.all_chordal_upto, MAX_CHORDAL_VERTICES),
+    for flag, value, cap in (
+        ("--trees-upto", args.trees_upto, min(MAX_TREE_VERTICES, max_n)),
+        ("--all-chordal-upto", args.all_chordal_upto, min(MAX_CHORDAL_VERTICES, max_n)),
+        ("--random", args.random, None),
         ("--max-n", args.max_n if args.random is not None else None, max_n),
     ):
-        cap = min(enum_cap, max_n)
-        if upto is not None and upto > cap:
-            raise ValueError(f"{flag} {upto} exceeds the {cap}-vertex cap of this scope")
+        if value is None:
+            continue
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+        if cap is not None and value > cap:
+            raise ValueError(f"{flag} {value} exceeds the {cap}-vertex cap of this scope")
     if args.family is not None or args.input is not None:
         yield args.family or args.input, _load_graph(args)
     elif args.trees_upto is not None:
@@ -165,24 +194,12 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     failures: list = []
-    if args.scope == "path-star":
-        lo, hi = _parse_range(args.r)
-        for r in range(lo, int(hi) + 1):
-            _emit(verify_path_star(r), failures)
-    elif args.scope == "grb":
-        r_lo, r_hi = _parse_range(args.r)
-        b_lo, b_hi = _parse_range(args.b, symbol="r")
-        for r in range(r_lo, int(r_hi) + 1):
-            top = r if b_hi == "r" else int(b_hi)
-            for b in range(b_lo, top + 1):
-                _emit(verify_grb(r, b), failures)
+    if args.scope == "grb":
+        for r, b in _param_grid(args, "r", "b", lambda r: r, check_grb_params):
+            _emit(verify_grb(r, b), failures)
     elif args.scope == "gpr1":
-        p_lo, p_hi = _parse_range(args.p)
-        r_lo, r_hi = _parse_range(args.r, symbol="p")
-        for p in range(p_lo, int(p_hi) + 1):
-            top = p - 1 if r_hi == "p" else int(r_hi)
-            for r in range(r_lo, top + 1):
-                _emit(verify_gpr1(p, r), failures)
+        for p, r in _param_grid(args, "p", "r", lambda p: p - 1, check_gpr1_params):
+            _emit(verify_gpr1(p, r), failures)
     elif args.scope == "support":
         for name, g in _sweep_graphs(args, MAX_EQUIVALENCE_VERTICES):
             _emit(verify_cert_support(g, name), failures)
@@ -218,12 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_betti.add_argument(
         "--cell", nargs=2, type=int, metavar=("I", "J"), help="print the single entry (i, j)"
     )
-    p_betti.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel workers for the subset sweep (default 1; at most the CPU count)",
-    )
     p_betti.set_defaults(func=cmd_betti)
 
     p_cert = sub.add_parser("cert", help="search for a bouquet certificate")
@@ -236,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="replay family and equivalence checks (JSON lines)"
     )
     p_verify.add_argument(
-        "scope", choices=("path-star", "grb", "gpr1", "support", "reg-indmatch")
+        "scope", choices=("grb", "gpr1", "support", "reg-indmatch")
     )
     add_input(p_verify)
     p_verify.add_argument("--r", default=None, help='range like "2..4"; for grb, --b may be "2..r"')
@@ -252,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VERIFY_RANGE_DEFAULTS = {
-    "path-star": {"r": "1..5"},
     "grb": {"r": "2..4", "b": "2..r"},
     "gpr1": {"p": "2..6", "r": "1..p"},
 }

@@ -4,10 +4,9 @@ All generators use one fixed vertex layout so certificates and tables are
 comparable across runs: the x block first (x_1 at index 0), then the y
 block, then z, then the w block.  Labels carry the same names.
 
-``path_star`` and ``star_triangle`` are both "r units glued at z" graphs;
-they are deliberately separate constructors (paths vs triangles) and
 ``g_rb`` only accepts b >= 2, because the b = 1 member of the family is the
-path star, not the star triangle the inductive construction starts from.
+path star ``g_pr1(r+1, r)``, not the star triangle the inductive
+construction starts from.
 """
 
 from __future__ import annotations
@@ -17,19 +16,6 @@ from .graphs import MAX_PARSE_VERTICES, Graph, new_graph
 
 def _labels(r: int, extra: list[str]) -> list[str]:
     return [f"x_{i}" for i in range(1, r + 1)] + [f"y_{i}" for i in range(1, r + 1)] + extra
-
-
-def path_star(r: int) -> Graph:
-    """Tree of r paths x_i - y_i - z glued at the common center z.
-
-    2r+1 vertices; regularity r with a single extremal Betti corner at
-    homological degree r+1.
-    """
-    if r < 1:
-        raise ValueError("path_star requires r >= 1")
-    z = 2 * r
-    edges = [(z, r + i) for i in range(r)] + [(i, r + i) for i in range(r)]
-    return new_graph(2 * r + 1, edges, _labels(r, ["z"]))
 
 
 def star_triangle(r: int) -> Graph:
@@ -89,6 +75,16 @@ def g_pr1(p: int, r: int) -> Graph:
     edges += [(x(j), y(r)) for j in range(r, p)]
     labels = [f"x_{j}" for j in range(1, p)] + [f"y_{i}" for i in range(1, r + 1)] + ["z"]
     return new_graph(n, edges, labels)
+
+
+def path_star(r: int) -> Graph:
+    """Tree of r paths x_i - y_i - z glued at the common center z: the b = 1
+    member of the paper's family, ``g_pr1(r+1, r)``.
+
+    2r+1 vertices; regularity r with a single extremal Betti corner at
+    (r+1, r).
+    """
+    return g_pr1(r + 1, r)
 
 
 # name -> (builder, parameter count, order of the graph it builds)

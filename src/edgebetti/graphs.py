@@ -94,9 +94,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
 
 def new_graph(n: int, edges: Iterable[Edge], labels: Sequence[str] | None = None) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""

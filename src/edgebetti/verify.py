@@ -21,7 +21,7 @@ from typing import Iterator
 from .analysis import extremal_positions, projective_dimension, regularity
 from .betti import betti_table
 from .bouquets import certified_positions, find_certificate
-from .families import g_pr1, g_rb, path_star
+from .families import g_pr1, g_rb
 from .graphs import Graph, induced_matching_number, is_chordal, is_connected, iter_bits, new_graph
 
 MAX_ORACLE_VERTICES = 13
@@ -86,59 +86,27 @@ def _is_tree(g: Graph) -> bool:
     return is_connected(g) and g.num_edges() == g.n - 1
 
 
-def verify_path_star(r: int) -> VerificationReport:
-    """Path-star tree on 2r+1 vertices: regularity r, a single extremal
-    entry at (r+1, r), and a bouquet certificate of the forced shape
-    (one 3-vertex star holding the hub, r-1 plain edges)."""
-    if not 1 <= r <= 6:
-        raise ValueError("need 1 <= r <= 6 (13-vertex sweep cap)")
-    t0 = time.perf_counter()
-    g = path_star(r)
-    table = betti_table(g)
-    report = extremal_positions(table)
-    cert = find_certificate(g, r + 1, r)
-    shape_ok = False
-    if cert is not None:
-        sizes = sorted(1 + len(b.leaves) for b in cert.bouquet_set.bouquets)
-        hub = 2 * r  # the common vertex of the r paths
-        big = max(cert.bouquet_set.bouquets, key=lambda b: len(b.leaves))
-        shape_ok = (
-            sizes == [2] * (r - 1) + [3]
-            and cert.witness == (1 << g.n) - 1
-            and hub in big.leaves
-            and r <= big.root < 2 * r
-        )
-    computed = {
-        "chordal": is_chordal(g),
-        "tree": _is_tree(g),
-        "regularity": regularity(table),
-        "projective_dimension": projective_dimension(table),
-        "extremal_count": report.count,
-        "extremal_positions": [[i, j] for i, j, _ in report.positions],
-        "corner_value_positive": table.get(r + 1, r) > 0,
-        "certificate_of_forced_shape": shape_ok,
-    }
-    expected = {
-        "chordal": True,
-        "tree": True,
-        "regularity": r,
-        "projective_dimension": r + 1,
-        "extremal_count": 1,
-        "extremal_positions": [[r + 1, r]],
-        "corner_value_positive": True,
-        "certificate_of_forced_shape": True,
-    }
-    return _report("path-star", {"r": r}, expected, computed, t0)
+def check_grb_params(r: int, b: int) -> None:
+    """Raise ValueError unless ``verify_grb(r, b)`` accepts (r, b)."""
+    if not 2 <= b <= r:
+        raise ValueError(f"need 2 <= b <= r, got r={r}, b={b}")
+    if 2 * r + b > MAX_ORACLE_VERTICES:
+        raise ValueError(f"2r+b = {2 * r + b} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
+
+
+def check_gpr1_params(p: int, r: int) -> None:
+    """Raise ValueError unless ``verify_gpr1(p, r)`` accepts (p, r)."""
+    if not 1 <= r < p:
+        raise ValueError(f"need 1 <= r < p, got p={p}, r={r}")
+    if p + r > MAX_ORACLE_VERTICES:
+        raise ValueError(f"p+r = {p + r} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
 
 
 def verify_grb(r: int, b: int) -> VerificationReport:
     """Hub-cascade family on 2r+b vertices: regularity r, projective
     dimension 2r+b-1, exactly b extremal entries at the predicted
     positions, and the predicted vanishing rectangle actually zero."""
-    if not 2 <= b <= r:
-        raise ValueError("need 2 <= b <= r")
-    if 2 * r + b > MAX_ORACLE_VERTICES:
-        raise ValueError(f"2r+b = {2 * r + b} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
+    check_grb_params(r, b)
     t0 = time.perf_counter()
     g = g_rb(r, b)
     table = betti_table(g)
@@ -190,11 +158,12 @@ def verify_cert_support(g: Graph, name: str = "graph") -> VerificationReport:
 
 
 def verify_gpr1(p: int, r: int) -> VerificationReport:
-    """Caterpillar family on p+r vertices: unique extremal entry at (p, r)."""
-    if not 1 <= r < p:
-        raise ValueError("need 1 <= r < p")
-    if p + r > MAX_ORACLE_VERTICES:
-        raise ValueError(f"p+r = {p + r} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
+    """Caterpillar family on p+r vertices: unique extremal entry at (p, r),
+    certified by a bouquet set of type (p, r).
+
+    p = r+1 is the path star, the b = 1 member of the paper's family.
+    """
+    check_gpr1_params(p, r)
     t0 = time.perf_counter()
     g = g_pr1(p, r)
     table = betti_table(g)
@@ -206,6 +175,7 @@ def verify_gpr1(p: int, r: int) -> VerificationReport:
         "projective_dimension": projective_dimension(table),
         "extremal_count": report.count,
         "extremal_positions": [[i, j] for i, j, _ in report.positions],
+        "certificate_at_corner": find_certificate(g, p, r) is not None,
     }
     expected = {
         "tree": True,
@@ -214,6 +184,7 @@ def verify_gpr1(p: int, r: int) -> VerificationReport:
         "projective_dimension": p,
         "extremal_count": 1,
         "extremal_positions": [[p, r]],
+        "certificate_at_corner": True,
     }
     return _report("gpr1", {"p": p, "r": r}, expected, computed, t0)
 

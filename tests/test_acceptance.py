@@ -9,7 +9,7 @@ Gate summary:
   1. golden Betti table of the 13-vertex two-parameter graph over QQ
   2. its extremal-corner report (three corners, regularity 5, projdim 12)
   3. family sweep: corner structure of every g_rb member up to 13 vertices,
-     plus the path-star series as the single-corner boundary case
+     plus the path stars g_pr1(r+1, r) as the single-corner case b = 1
   4. certificate/support equivalence on trees, random chordal graphs and
      triangle stars — zero mismatches allowed
   5. cross-oracle consistency: alternating table sums against independently
@@ -30,7 +30,6 @@ from edgebetti.verify import (
     verify_cert_support,
     verify_gpr1,
     verify_grb,
-    verify_path_star,
 )
 
 from conftest import GPR1_CASES, GRB_CASES, PATH_STAR_RANGE, STAR_TRIANGLE_RANGE
@@ -103,9 +102,10 @@ def test_gate3_family_sweep_corner_structure():
         rep = verify_grb(r, b)
         if not rep.passed:
             failures.append(f"grb({r},{b}): {rep.computed} != {rep.expected}")
-    # single-corner boundary case of the same story, as a separate family
+    # the b = 1 member of the same story: the path star, replayed with its
+    # corner certificate as the caterpillar g_pr1(r+1, r)
     for r in PATH_STAR_RANGE:
-        rep = verify_path_star(r)
+        rep = verify_gpr1(r + 1, r)
         if not rep.passed:
             failures.append(f"path_star({r}): {rep.computed} != {rep.expected}")
     elapsed = time.perf_counter() - t0

@@ -1,14 +1,13 @@
 """Betti tables via the subset-homology sweep, checked against naive recomputation."""
 
 import itertools
-import os
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from edgebetti import betti, linalg
+from edgebetti import linalg
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
@@ -17,7 +16,7 @@ from edgebetti.betti import (
     hilbert_numerator,
     k_polynomial,
 )
-from edgebetti.families import g_pr1, star_triangle
+from edgebetti.families import g_pr1
 from edgebetti.graphs import new_graph
 from edgebetti.homology import FieldSpec
 
@@ -195,39 +194,6 @@ def test_table_depends_on_field_rp2_witness(monkeypatch):
     gf2 = dict(tables[None])
     gf2[9, 3] = gf2[10, 2] = 1
     assert tables[2] == gf2
-
-
-def test_parallel_sweep_agrees_with_serial():
-    g = star_triangle(3)
-    serial = betti_table(g, jobs=1)
-    parallel = betti_table(g, jobs=2)
-    assert parallel == serial
-
-
-def test_pool_capped_at_cpu_count(monkeypatch):
-    # The pool is a fake that records its size and runs the chunks in this
-    # process, so no oversized pool is ever started.
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
-
-    monkeypatch.setattr(betti.multiprocessing, "Pool", SerialPool)
-    g = star_triangle(3)
-    serial = betti_table(g, jobs=1)
-    for jobs in (2, 10**9):
-        assert betti_table(g, jobs=jobs) == serial
-    assert sizes and max(sizes) <= (os.cpu_count() or 1)
 
 
 def test_jobs_below_one_rejected():

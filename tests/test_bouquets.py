@@ -170,13 +170,18 @@ def test_find_certificate_none_on_grb_vanishing_corner():
 
 
 def test_certificates_exist_at_extremal_positions_of_path_star():
-    for r in range(1, 5):
+    for r in range(1, 7):
         g = path_star(r)
         cert = find_certificate(g, r + 1, r)
         assert cert is not None
         assert cert.witness == (1 << g.n) - 1  # uses every vertex
         sizes = sorted(1 + len(b.leaves) for b in cert.bouquet_set.bouquets)
         assert sizes == [2] * (r - 1) + [3]
+        # the hub z is a leaf of the one 3-vertex bouquet, rooted at a y vertex
+        hub = 2 * r
+        big = max(cert.bouquet_set.bouquets, key=lambda b: len(b.leaves))
+        assert hub in big.leaves
+        assert r <= big.root < 2 * r
 
 
 def test_size_caps():

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgebetti.betti import BettiTable, betti_table
 from edgebetti.cli import main
@@ -132,16 +135,13 @@ def test_betti_gf2_matches_qq_here(capsys):
     assert qq == gf2
 
 
-def test_betti_jobs_schedules_agree(capsys):
-    _, serial, _ = run(capsys, "betti", "--family", "path-star:2", "--jobs", "1")
-    _, parallel, _ = run(capsys, "betti", "--family", "path-star:2", "--jobs", "2")
-    assert serial == parallel
-
-
-def test_betti_rejects_jobs_below_one(capsys):
-    code, out, err = run(capsys, "betti", "--family", "path-star:2", "--jobs", "0")
-    assert code == 2
-    assert out == "" and err.startswith("error:")
+def test_betti_rejects_jobs_flag(capsys):
+    # The sweep is serial; --jobs is an unknown flag like any other.
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--family", "path-star:2", "--jobs", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--jobs" in out.err
 
 
 @pytest.mark.parametrize(
@@ -212,14 +212,19 @@ def test_cert_warns_on_non_chordal(capsys, tmp_path):
     assert json.loads(out)["type"] == [1, 1]
 
 
-def test_verify_path_star_range(capsys):
-    code, out, _ = run(capsys, "verify", "path-star", "--r", "1..2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        rep = json.loads(line)
-        assert rep["passed"] is True and rep["claim"] == "path-star"
+def test_verify_path_star_is_the_gpr1_boundary(capsys):
+    # The path star is g_pr1(r+1, r); its corner certificate is replayed
+    # by the gpr1 scope, and there is no separate path-star scope.
+    for r in (1, 2):
+        code, out, _ = run(capsys, "verify", "gpr1", "--p", str(r + 1), "--r", str(r))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["passed"] is True and rep["params"] == {"p": r + 1, "r": r}
+        assert rep["computed"]["certificate_at_corner"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "path-star", "--r", "1..2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_grb_symbolic_range(capsys):
@@ -253,19 +258,31 @@ def test_verify_support_all_chordal(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ("support", "--trees-upto", "11"),  # above the 10-vertex cert-support cap
-        ("support", "--all-chordal-upto", "9"),  # above the chordal enumerator cap
-        ("reg-indmatch", "--trees-upto", "14"),  # above the 13-vertex oracle cap
-        ("support", "--random", "20", "--seed", "1", "--max-n", "12"),  # above 10
+        # an enumeration bound above the scope's vertex cap
+        pytest.param(("support", "--trees-upto", "11"), "cap", id="argv0"),  # 10-vertex cap
+        pytest.param(("support", "--all-chordal-upto", "9"), "cap", id="argv1"),  # enumerator
+        pytest.param(("reg-indmatch", "--trees-upto", "14"), "cap", id="argv2"),  # 13-vertex
+        pytest.param(
+            ("support", "--random", "20", "--seed", "1", "--max-n", "12"), "cap", id="argv3"
+        ),
+        # the whole parameter grid is checked before the first report
+        pytest.param(("grb", "--r", "2..3", "--b", "2..3"), "2 <= b <= r", id="grb-b-above-r"),
+        pytest.param(("gpr1", "--p", "6..8", "--r", "5..6"), "1 <= r < p", id="gpr1-r-at-p"),
+        pytest.param(("grb", "--r", "2..1"), "empty range", id="grb-empty-range"),
+        pytest.param(("support", "--random", "-3"), "at least 1", id="negative-random"),
+        pytest.param(
+            ("reg-indmatch", "--random", "2", "--max-n", "0"), "at least 1", id="max-n-zero"
+        ),
     ],
 )
-def test_verify_rejects_enumeration_above_cap(capsys, argv):
+def test_verify_rejects_enumeration_above_cap(capsys, argv, reason):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "cap" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and reason in err
 
 
 def test_verify_reg_indmatch_random(capsys):
@@ -336,3 +353,104 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 . .\n. 2 1\n"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: a grammar of the four subcommands, their flags, small integers,
+# ranges and family specs.  No stdin and no file paths: every graph comes
+# from --family, and no stray token can land in an input slot.
+
+_INT = st.integers(-2, 5).map(str)
+# Family parameters and verify ranges stay smaller, so that no member has
+# more than 12 vertices and no single argv runs for more than a fraction of
+# a second.
+_PARAM = st.integers(-2, 3).map(str)
+_BOUND = st.integers(-2, 4).map(str)
+_RANGE = st.one_of(
+    _BOUND,
+    st.tuples(_BOUND, _BOUND).map("..".join),
+    st.tuples(_BOUND, st.sampled_from(["r", "p"])).map("..".join),
+    st.sampled_from(["x", "..", "2..", "..3", "1..q", ""]),
+)
+_FAMILY_NAMES = st.sampled_from(["path-star", "star-triangle", "grb", "gpr1", "petersen"])
+_FAMILY = st.one_of(
+    st.sampled_from(["path-star:2", "star-triangle:2", "grb:3,2", "grb:3,3", "gpr1:4,2"]),
+    st.builds(
+        lambda name, params: f"{name}:{','.join(params)}",
+        _FAMILY_NAMES,
+        st.lists(_PARAM, min_size=1, max_size=2),
+    ),
+    st.sampled_from(["grb", "grb:", "grb:x", ":3"]),
+)
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _flags(*groups):
+    return st.lists(st.one_of(*groups), max_size=4).map(lambda gs: [t for g in gs for t in g])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+_ARGV = st.one_of(
+    _argv(
+        st.just(["gen"]),
+        _FAMILY_NAMES.map(lambda name: [name]),
+        st.lists(_INT, min_size=1, max_size=2),
+        _flags(_opt("--format", st.sampled_from(["text", "json", "dot"]))),
+    ),
+    _argv(
+        st.just(["betti"]),
+        _opt("--family", _FAMILY) | st.just([]),
+        _flags(
+            _opt("--field", st.sampled_from(["qq", "gf2", "gfp:3", "gfp:4", "gfp:x"])),
+            st.just(["--json"]),
+            st.just(["--csv"]),
+            st.tuples(_INT, _INT).map(lambda ij: ["--cell", *ij]),
+            _opt("--jobs", _INT),
+        ),
+    ),
+    _argv(
+        st.just(["cert"]),
+        st.lists(_INT | st.just("x"), min_size=1, max_size=2),
+        _opt("--family", _FAMILY) | st.just([]),
+    ),
+    _argv(
+        st.just(["verify"]),
+        st.sampled_from(["grb", "gpr1", "support", "reg-indmatch", "path-star"]).map(
+            lambda scope: [scope]
+        ),
+        _flags(
+            _opt("--r", _RANGE),
+            _opt("--b", _RANGE),
+            _opt("--p", _RANGE),
+            _opt("--family", _FAMILY),
+            _opt("--trees-upto", _INT),
+            _opt("--all-chordal-upto", _INT),
+            _opt("--random", _INT),
+            _opt("--max-n", _INT),
+            _opt("--seed", _INT),
+        ),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    # argparse rejects a malformed argv itself, with a usage line and
+    # SystemExit(2); every other outcome is main's return value.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().startswith("usage:"), argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv

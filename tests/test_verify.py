@@ -18,7 +18,6 @@ from edgebetti.verify import (
     verify_cert_support,
     verify_gpr1,
     verify_grb,
-    verify_path_star,
     verify_reg_eq_indmatch,
 )
 
@@ -45,21 +44,6 @@ def test_report_json_dict():
     assert d["skipped"] is False
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_verify_path_star_passes(r):
-    rep = verify_path_star(r)
-    assert rep.passed and not rep.skipped
-    assert rep.params == {"r": r}
-    assert rep.computed["extremal_positions"] == [[r + 1, r]]
-
-
-def test_verify_path_star_range():
-    with pytest.raises(ValueError):
-        verify_path_star(0)
-    with pytest.raises(ValueError):
-        verify_path_star(7)
-
-
 @pytest.mark.parametrize("r,b", [(2, 2), (3, 2), (3, 3)])
 def test_verify_grb_passes(r, b):
     rep = verify_grb(r, b)
@@ -80,18 +64,17 @@ def test_verify_gpr1_passes(p, r):
     rep = verify_gpr1(p, r)
     assert rep.passed
     assert rep.computed["extremal_positions"] == [[p, r]]
+    assert rep.computed["certificate_at_corner"] is True
 
 
-def test_verify_gpr1_boundary_matches_path_star():
-    # p = r+1 degenerates to the path star; the two reports must agree on
-    # every invariant they both compute.
-    for r in (1, 2):
-        a = verify_gpr1(r + 1, r)
-        b = verify_path_star(r)
-        assert a.passed and b.passed
-        for key in ("regularity", "projective_dimension", "extremal_count",
-                    "extremal_positions", "chordal"):
-            assert a.computed[key] == b.computed[key]
+def test_verify_gpr1_fails_without_corner_certificate(monkeypatch):
+    import edgebetti.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "find_certificate", lambda g, i, j: None)
+    rep = verify_gpr1(3, 2)
+    assert not rep.passed
+    assert rep.computed["certificate_at_corner"] is False
+    assert rep.expected["certificate_at_corner"] is True
 
 
 def test_verify_gpr1_rejects_out_of_range():
