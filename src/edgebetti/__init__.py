@@ -31,6 +31,7 @@ from .bouquets import (
     find_certificate,
     validate_bouquet_set,
 )
+from .enumeration import all_chordal_graphs, all_trees, random_chordal
 from .families import (
     build_family,
     g_pr1,
@@ -55,9 +56,6 @@ from .homology import (
 )
 from .verify import (
     VerificationReport,
-    all_chordal_graphs,
-    all_trees,
-    random_chordal,
     verify_cert_support,
     verify_gpr1,
     verify_grb,

@@ -22,19 +22,21 @@ import sys
 from .analysis import render_table
 from .betti import betti_single, betti_table
 from .bouquets import find_certificate
+from .enumeration import (
+    MAX_CHORDAL_VERTICES,
+    MAX_TREE_VERTICES,
+    all_chordal_graphs,
+    all_trees,
+    random_chordal,
+)
 from .families import FAMILY_BUILDERS, build_family, parse_family_spec
 from .graphs import Graph, format_graph, is_chordal, parse_graph
 from .homology import FieldSpec
 from .verify import (
-    MAX_CHORDAL_VERTICES,
     MAX_EQUIVALENCE_VERTICES,
     MAX_ORACLE_VERTICES,
-    MAX_TREE_VERTICES,
-    all_chordal_graphs,
-    all_trees,
     check_gpr1_params,
     check_grb_params,
-    random_chordal,
     verify_cert_support,
     verify_gpr1,
     verify_grb,
@@ -59,17 +61,21 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return parse_graph(_read_text(path))
 
 
-def _parse_range(text: str, symbol: str | None = None) -> tuple[int, int | str]:
-    """Parse "3" or "2..5"; the upper bound may be *symbol* (e.g. "2..r")."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
+def _parse_range(flag: str, text: str, symbol: str | None = None) -> tuple[int, int | str]:
+    """Parse the value of --*flag*, "3" or "2..5"; the upper bound may be
+    *symbol* (e.g. "2..r")."""
+    lo_text, dots, hi_text = text.partition("..")
+    hi_text = hi_text.strip()
+    try:
         lo = int(lo_text)
-        hi_text = hi_text.strip()
+        if not dots:
+            return lo, lo
         if symbol is not None and hi_text == symbol:
             return lo, hi_text
         return lo, int(hi_text)
-    value = int(text)
-    return value, value
+    except ValueError:
+        forms = "N or A..B" if symbol is None else f"N, A..B or A..{symbol}"
+        raise ValueError(f"--{flag} takes {forms}, got {text!r}") from None
 
 
 def _param_grid(args, outer: str, inner: str, top, check) -> list[tuple[int, int]]:
@@ -81,8 +87,8 @@ def _param_grid(args, outer: str, inner: str, top, check) -> list[tuple[int, int
     the first report runs.  The rule caps both values, so even a huge
     range fails within a few pairs.
     """
-    o_lo, o_hi = _parse_range(getattr(args, outer))
-    i_lo, i_hi = _parse_range(getattr(args, inner), symbol=outer)
+    o_lo, o_hi = _parse_range(outer, getattr(args, outer))
+    i_lo, i_hi = _parse_range(inner, getattr(args, inner), symbol=outer)
     if o_hi < o_lo:
         raise ValueError(f"empty range --{outer} {o_lo}..{o_hi}")
     grid = []

@@ -5,7 +5,9 @@ every test that needs one pulls it from the session-scoped caches below instead
 of recomputing.
 """
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,13 @@ GPR1_CASES = [(p, r) for p in range(2, 12) for r in range(1, p) if p + r <= 12]
 RANDOM_CHORDAL_SEED = 20250825
 RANDOM_CHORDAL_COUNT = 100
 RANDOM_CHORDAL_MAX_N = 8
+
+
+def pytest_configure(config):
+    # pyproject.toml puts src/ on this process's path only; the CLI tests
+    # start Python subprocesses that must import the same checkout.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -262,7 +262,7 @@ def test_verify_support_all_chordal(capsys):
     [
         # an enumeration bound above the scope's vertex cap
         pytest.param(("support", "--trees-upto", "11"), "cap", id="argv0"),  # 10-vertex cap
-        pytest.param(("support", "--all-chordal-upto", "9"), "cap", id="argv1"),  # enumerator
+        pytest.param(("support", "--all-chordal-upto", "10"), "cap", id="argv1"),  # enumerator
         pytest.param(("reg-indmatch", "--trees-upto", "14"), "cap", id="argv2"),  # 13-vertex
         pytest.param(
             ("support", "--random", "20", "--seed", "1", "--max-n", "12"), "cap", id="argv3"
@@ -274,6 +274,13 @@ def test_verify_support_all_chordal(capsys):
         pytest.param(("support", "--random", "-3"), "at least 1", id="negative-random"),
         pytest.param(
             ("reg-indmatch", "--random", "2", "--max-n", "0"), "at least 1", id="max-n-zero"
+        ),
+        # a malformed range names its flag and the accepted forms
+        pytest.param(("grb", "--r", "x"), "--r takes N or A..B, got 'x'", id="grb-bad-range"),
+        pytest.param(
+            ("gpr1", "--p", "2..3", "--r", "1..r"),
+            "--r takes N, A..B or A..p, got '1..r'",
+            id="gpr1-bad-symbol",
         ),
     ],
 )

@@ -2,19 +2,22 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from edgebetti.families import g_rb, star_triangle
-from edgebetti.graphs import is_chordal, is_connected, new_graph
-from edgebetti.verify import (
+from edgebetti.enumeration import (
     MAX_CHORDAL_VERTICES,
     MAX_TREE_VERTICES,
-    VerificationReport,
     all_chordal_graphs,
     all_trees,
     canonical_key,
     random_chordal,
+)
+from edgebetti.families import g_rb, star_triangle
+from edgebetti.graphs import is_chordal, is_connected, new_graph
+from edgebetti.verify import (
+    VerificationReport,
     verify_cert_support,
     verify_gpr1,
     verify_grb,
@@ -161,8 +164,10 @@ def test_all_trees_complete_against_brute_force():
 
 
 def test_all_chordal_graphs_counts():
-    # Includes disconnected graphs; 1, 2, 4, 10, 27 classes for n = 1..5.
-    assert [len(all_chordal_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 10, 27]
+    # Includes disconnected graphs; class counts for n = 1..8 (OEIS A048192).
+    assert [len(all_chordal_graphs(n)) for n in range(1, 9)] == [
+        1, 2, 4, 10, 27, 94, 393, 2119
+    ]
 
 
 def test_all_chordal_graphs_complete_against_brute_force():
@@ -186,17 +191,64 @@ def test_enumerators_reject_orders_above_their_cap(enumerate_, cap):
         enumerate_(cap + 1)
 
 
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_canonical_key_is_isomorphism_invariant():
     rng = random.Random(41)
     for _ in range(20):
         n = rng.randint(1, 7)
         pairs = list(itertools.combinations(range(n), 2))
-        edges = [e for e in pairs if rng.random() < 0.5]
-        g = new_graph(n, edges)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = new_graph(n, [(perm[u], perm[v]) for u, v in edges])
-        assert canonical_key(g) == canonical_key(h)
+        g = new_graph(n, [e for e in pairs if rng.random() < 0.5])
+        assert canonical_key(g) == canonical_key(relabel(g, rng))
+    for g in all_chordal_graphs(8):
+        key = canonical_key(g)
+        assert all(canonical_key(relabel(g, rng)) == key for _ in range(3))
+
+
+def test_canonical_key_counts_every_graph_class():
+    # Classes of all labelled graphs on n = 1..5 vertices (OEIS A000088).
+    rng = random.Random(5)
+    counts = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        keys = set()
+        for bits in range(1 << len(pairs)):
+            g = new_graph(n, [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
+            key = canonical_key(g)
+            assert canonical_key(relabel(g, rng)) == key
+            keys.add(key)
+        counts.append(len(keys))
+    assert counts == [1, 2, 4, 11, 34]
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return new_graph(10, outer + spokes + inner)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        new_graph(10, []),
+        new_graph(10, list(itertools.combinations(range(10), 2))),
+        cycle(10),
+        new_graph(10, [(u, v) for u in range(5) for v in range(5, 10)]),
+        petersen(),
+    ],
+    ids=["empty10", "K10", "C10", "K5,5", "petersen"],
+)
+def test_canonical_key_is_fast_on_symmetric_graphs(g):
+    # Without twin pruning the empty graph, K10 and K5,5 branch 10! ways.
+    t0 = time.perf_counter()
+    key = canonical_key(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert canonical_key(relabel(g, random.Random(3))) == key
 
 
 def test_canonical_key_separates_non_isomorphic():
