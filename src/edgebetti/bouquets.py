@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, is_chordal, is_induced_matching
+from .graphs import Graph, is_chordal, is_induced_matching, iter_bits, mask_of
 from .homology import InvariantError
 
 MAX_SEARCH_VERTICES = 16
@@ -173,9 +173,22 @@ def _induced_matchings(
     yield from rec(0, 0)
 
 
-def _pattern_roots(matching: tuple[Edge, ...], pattern: int) -> list[int]:
-    # bit k clear: root of edge k is its smaller endpoint
-    return [e[(pattern >> k) & 1] for k, e in enumerate(matching)]
+def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
+    """(matching, roots, attachable) for each induced matching (of size
+    *exact*, or every nonempty one, in lexicographic edge-list order) and
+    each choice of one root per edge, smaller endpoints first; attachable
+    lists the vertices outside the matching adjacent to some root.
+    """
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    for matching in _induced_matchings(g.edges(), closed, exact):
+        vm = mask_of(w for e in matching for w in e)
+        for pattern in range(1 << len(matching)):
+            # bit k clear: root of edge k is its smaller endpoint
+            roots = [e[pattern >> k & 1] for k, e in enumerate(matching)]
+            near = 0
+            for r in roots:
+                near |= g.adj[r]
+            yield matching, roots, list(iter_bits(near & ~vm))
 
 
 def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
@@ -193,35 +206,21 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
         raise ValueError(f"graph has {g.n} > {MAX_SEARCH_VERTICES} vertices")
     if j < 1 or i < j or i + j > g.n:
         return None
-    edges = g.edges()
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
     need = i - j
-    for matching in _induced_matchings(edges, closed, exact=j):
-        vm = 0
-        for u, v in matching:
-            vm |= 1 << u | 1 << v
-        partner = {u: v for u, v in matching} | {v: u for u, v in matching}
-        for pattern in range(1 << j):
-            roots = _pattern_roots(matching, pattern)
-            rmask = 0
-            for r in roots:
-                rmask |= 1 << r
-            cands = [w for w in range(g.n) if not vm >> w & 1 and g.adj[w] & rmask]
-            if len(cands) < need:
-                continue
-            leaves = {r: [partner[r]] for r in roots}
-            for w in cands[:need]:
-                leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
-            bouquets = tuple(
-                Bouquet(r, tuple(sorted(leaves[r]))) for r in sorted(roots)
-            )
-            reps = tuple(
-                (min(r, partner[r]), max(r, partner[r])) for r in sorted(roots)
-            )
-            bs = BouquetSet(bouquets, reps)
-            if not validate_bouquet_set(g, bs):
-                raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
-            return Certificate(bs, (i, j), bs.vertices_mask())
+    for matching, roots, attachable in _rooted_matchings(g, j):
+        if len(attachable) < need:
+            continue
+        leaves = {r: [u + v - r] for (u, v), r in zip(matching, roots)}
+        for w in attachable[:need]:
+            leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
+        ordered = sorted(zip(roots, matching))
+        bs = BouquetSet(
+            tuple(Bouquet(r, tuple(sorted(leaves[r]))) for r, _ in ordered),
+            tuple(e for _, e in ordered),
+        )
+        if not validate_bouquet_set(g, bs):
+            raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
+        return Certificate(bs, (i, j), bs.vertices_mask())
     return None
 
 
@@ -242,22 +241,8 @@ def certified_positions(g: Graph) -> set[tuple[int, int]]:
             stacklevel=2,
         )
     out = {(0, 0)}
-    edges = g.edges()
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    for matching in _induced_matchings(edges, closed, exact=None):
+    for matching, _, attachable in _rooted_matchings(g, None):
         s = len(matching)
-        vm = 0
-        for u, v in matching:
-            vm |= 1 << u | 1 << v
-        outside = [w for w in range(g.n) if not vm >> w & 1]
-        best = 0
-        for pattern in range(1 << s):
-            rmask = 0
-            for r in _pattern_roots(matching, pattern):
-                rmask |= 1 << r
-            c = sum(1 for w in outside if g.adj[w] & rmask)
-            if c > best:
-                best = c
-        for extra in range(best + 1):
-            out.add((s + extra, s))
+        for e in range(len(attachable) + 1):
+            out.add((s + e, s))
     return out

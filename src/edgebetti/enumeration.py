@@ -1,21 +1,24 @@
 """Small-order graph enumeration up to isomorphism, and random chordal graphs.
 
-Trees and chordal graphs are grown order by order from the classes one
-order below and deduplicated by a canonical form: a rooted code at the
-center for trees, and for chordal graphs an exact canonical form from
-colour refinement and individualisation (McKay and Piperno, "Practical
-graph isomorphism, II", 2014).  ``random_chordal`` draws seeded random
-chordal graphs for the property sweeps.
+Trees and chordal graphs are grown by one rule and deduplicated by one
+canonical form.  Each order is grown from the classes one order below by
+joining a new vertex to a "site" of each: any one vertex for trees, any
+clique for chordal graphs.  ``canonical_key`` is an exact canonical form
+from colour refinement and individualisation (McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  ``random_chordal`` draws seeded
+random chordal graphs for the property sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from typing import Callable
 
 from .graphs import Graph, iter_bits, new_graph
 
 # Largest orders the enumerators accept; a call at the cap takes seconds
-# (2-core box: all_trees(14) about 2.5 s, all_chordal_graphs(9) about 7 s).
+# (2-core box: all_trees(14) about 6 s, all_chordal_graphs(9) about 8 s).
 MAX_TREE_VERTICES = 14
 MAX_CHORDAL_VERTICES = 9
 
@@ -43,56 +46,6 @@ def random_chordal(n: int, rng: random.Random) -> Graph:
             adj[w] |= 1 << v
             edges.append((w, v))
     return new_graph(n, edges)
-
-
-def _rooted_code(adj: tuple[int, ...], root: int, parent: int) -> tuple:
-    return tuple(sorted(_rooted_code(adj, u, root) for u in iter_bits(adj[root]) if u != parent))
-
-
-def _tree_key(g: Graph) -> tuple:
-    """Canonical code of a tree: rooted code at its center(s)."""
-    if g.n == 1:
-        return ()
-    degree = [g.adj[v].bit_count() for v in range(g.n)]
-    alive = set(range(g.n))
-    layer = [v for v in alive if degree[v] <= 1]
-    while len(alive) > 2:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for u in iter_bits(g.adj[v]):
-                if u in alive:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return min(_rooted_code(g.adj, c, -1) for c in alive)
-
-
-def all_trees(n: int) -> list[Graph]:
-    """All trees on n vertices, one per isomorphism class.
-
-    Grown order by order: every tree on n >= 2 vertices is a tree on n-1
-    vertices plus a leaf, so attaching a new vertex to each vertex of each
-    smaller class reaches every class.  One representative is kept per
-    canonical code, in the order of the codes.
-    """
-    if n > MAX_TREE_VERTICES:
-        raise ValueError(f"all_trees is capped at {MAX_TREE_VERTICES} vertices, got {n}")
-    if n < 1:
-        return []
-    level = [new_graph(1, [])]
-    for size in range(2, n + 1):
-        found: dict[tuple, Graph] = {}
-        for g in level:
-            edges = g.edges()
-            for v in range(g.n):
-                cand = new_graph(size, edges + [(v, size - 1)])
-                key = _tree_key(cand)
-                if key not in found:
-                    found[key] = cand
-        level = [found[k] for k in sorted(found)]
-    return level
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -165,48 +118,67 @@ def canonical_key(g: Graph) -> tuple:
     return _least_leaf(g.adj, _refine(g.adj, [full], [full]) if g.n else [])
 
 
-def _all_cliques(adj: list[int], n: int) -> list[int]:
-    """Every clique of the graph as a bitmask, the empty one included."""
+def _leaf_sites(g: Graph) -> list[int]:
+    return [1 << v for v in range(g.n)]
+
+
+def _all_cliques(g: Graph) -> list[int]:
+    """Every clique of g as a bitmask, the empty one included."""
     out = [0]
 
     def rec(base: int, allowed: int) -> None:
-        m = allowed
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            out.append(base | low)
-            rec(base | low, m & adj[v])
+        for v in iter_bits(allowed):
+            out.append(base | 1 << v)
+            # extend only by later neighbours of v, so each clique comes once
+            rec(base | 1 << v, allowed & g.adj[v] & -(2 << v))
 
-    rec(0, (1 << n) - 1)
+    rec(0, (1 << g.n) - 1)
     return out
 
 
-def all_chordal_graphs(n: int) -> list[Graph]:
-    """All chordal graphs on n vertices, one per isomorphism class.
+@functools.cache
+def _classes(n: int, sites: Callable[[Graph], list[int]]) -> dict[tuple, Graph]:
+    """Canonical key -> first-seen representative, for the graphs on n >= 1
+    vertices grown from one vertex by joining each new vertex to a site.
 
-    Grown by attaching each new vertex to a clique (possibly empty) of a
-    smaller chordal graph — every chordal graph arises this way — with
-    canonical-form deduplication at each order.
+    Order n is grown from order n - 1 by joining vertex n - 1 to each site
+    (a vertex mask) of each smaller class in turn, keeping the first
+    candidate per key.  Cached, so each order is grown once per process.
+    """
+    if n == 1:
+        g = new_graph(1, [])
+        return {canonical_key(g): g}
+    found: dict[tuple, Graph] = {}
+    for g in _classes(n - 1, sites).values():
+        edges = g.edges()
+        for site in sites(g):
+            cand = new_graph(n, edges + [(u, n - 1) for u in iter_bits(site)])
+            found.setdefault(canonical_key(cand), cand)
+    return found
+
+
+def all_trees(n: int) -> list[Graph]:
+    """All trees on n vertices, one per isomorphism class, in key order.
+
+    Every tree on n >= 2 vertices is a tree on n-1 vertices plus a leaf, so
+    a new leaf on each vertex of each smaller class reaches every class.
+    """
+    if n > MAX_TREE_VERTICES:
+        raise ValueError(f"all_trees is capped at {MAX_TREE_VERTICES} vertices, got {n}")
+    found = _classes(n, _leaf_sites) if n >= 1 else {}
+    return [found[k] for k in sorted(found)]
+
+
+def all_chordal_graphs(n: int) -> list[Graph]:
+    """All chordal graphs on n vertices, one per isomorphism class, in key
+    order.
+
+    Every chordal graph has a simplicial vertex, so a new vertex on each
+    clique (possibly empty) of each smaller class reaches every class.
     """
     if n > MAX_CHORDAL_VERTICES:
         raise ValueError(
             f"all_chordal_graphs is capped at {MAX_CHORDAL_VERTICES} vertices, got {n}"
         )
-    if n < 1:
-        return []
-    level: dict[tuple, Graph] = {}
-    g1 = new_graph(1, [])
-    level[canonical_key(g1)] = g1
-    for size in range(2, n + 1):
-        nxt: dict[tuple, Graph] = {}
-        for g in level.values():
-            adj = list(g.adj)
-            for clique in _all_cliques(adj, g.n):
-                edges = g.edges() + [(u, size - 1) for u in iter_bits(clique)]
-                cand = new_graph(size, edges)
-                key = canonical_key(cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        level = nxt
-    return [level[k] for k in sorted(level)]
+    found = _classes(n, _all_cliques) if n >= 1 else {}
+    return [found[k] for k in sorted(found)]

@@ -84,6 +84,8 @@ def path_star(r: int) -> Graph:
     2r+1 vertices; regularity r with a single extremal Betti corner at
     (r+1, r).
     """
+    if r < 1:
+        raise ValueError(f"path_star requires r >= 1, got r={r}")
     return g_pr1(r + 1, r)
 
 

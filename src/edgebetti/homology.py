@@ -75,10 +75,6 @@ class FieldSpec:
             raise ValueError(f"modulus {self.p} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
     def gf(cls, p: int) -> "FieldSpec":
         return cls(p)
 
@@ -90,7 +86,7 @@ class FieldSpec:
             return cls(None)
         if t == "gf2":
             return cls(2)
-        if t.startswith("gfp:"):
+        if t.startswith("gfp:") and t[4:].isdecimal():
             return cls(int(t[4:]))
         raise ValueError(f"unknown field {text!r} (expected qq, gf2 or gfp:<p>)")
 

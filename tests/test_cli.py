@@ -173,10 +173,19 @@ def test_betti_rejects_malformed_json(text):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_betti_bad_field(capsys):
-    code, _, err = run(capsys, "betti", "--family", "path-star:1", "--field", "gfp:4")
-    assert code == 2
-    assert "not prime" in err
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("gfp:4", "modulus 4 is not prime"),
+        ("gfp:x", "unknown field 'gfp:x' (expected qq, gf2 or gfp:<p>)"),
+        ("gfp:", "unknown field 'gfp:' (expected qq, gf2 or gfp:<p>)"),
+    ],
+    ids=["gfp:4", "gfp:x", "gfp:"],
+)
+def test_betti_bad_field(capsys, token, message):
+    code, out, err = run(capsys, "betti", "--family", "path-star:1", "--field", token)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_betti_needs_exactly_one_source(capsys, tmp_path):

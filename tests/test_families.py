@@ -38,7 +38,7 @@ def test_path_star_shape(r):
 
 def test_path_star_smallest():
     assert path_star(1) == new_graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"path_star requires r >= 1, got r=0"):
         path_star(0)
 
 

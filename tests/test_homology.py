@@ -23,13 +23,15 @@ from oracles import face_levels, independent_subsets, naive_homology_dims
 
 def test_fieldspec_parse():
     assert FieldSpec.parse("qq") == FieldSpec(None)
-    assert FieldSpec.parse("rationals") == FieldSpec.rationals()
+    assert FieldSpec.parse("rationals") == FieldSpec()
     assert FieldSpec.parse("GF2") == FieldSpec.gf(2)
     assert FieldSpec.parse("gfp:7") == FieldSpec(7)
     assert FieldSpec.parse(" gfp:101 ") == FieldSpec(101)
-    for bad in ("gf3", "zz", "gfp:", "gfp:x"):
-        with pytest.raises(ValueError):
+    for bad in ("gf3", "zz", "gfp:", "gfp:x", "gfp:-3", "gfp:1.5"):
+        with pytest.raises(ValueError, match="unknown field"):
             FieldSpec.parse(bad)
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec.parse("gfp:4")
 
 
 def test_fieldspec_requires_prime():
