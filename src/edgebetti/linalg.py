@@ -12,6 +12,10 @@ rationals a lead of +-1 keeps the pivot in plain ints, which for simplicial
 boundary matrices is almost always the case; any other lead is divided out
 as an exact ``Fraction``, so the result is exact in every case.  The work is
 deterministic: rows are taken in the order given.
+
+Both return the lead columns of the echelon, so the rank is their count:
+the highest column of each reduced row (``matrix_rank``) or its lowest bit
+(``rank_gf2``).  The set of leads depends only on the row space.
 """
 
 from __future__ import annotations
@@ -21,24 +25,23 @@ from fractions import Fraction
 Row = dict[int, int]
 
 
-def rank_gf2(masks: list[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks."""
+def rank_gf2(masks: list[int]) -> list[int]:
+    """Lead columns (lowest bits) over GF(2) of rows given as bitmasks."""
     pivots: dict[int, int] = {}
-    rank = 0
     for m in masks:
         while m:
             low = m & -m
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = m
-                rank += 1
                 break
             m ^= piv
-    return rank
+    return [low.bit_length() - 1 for low in pivots]
 
 
-def matrix_rank(rows: list[Row], p: int | None = None) -> int:
-    """Rank of an integer matrix over QQ (p None) or GF(p), p prime."""
+def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
+    """Lead columns (highest) of an integer matrix over QQ (p None) or GF(p),
+    p prime."""
     pivots: dict[int, Row] = {}
     for row in rows:
         if p is None:
@@ -68,4 +71,4 @@ def matrix_rank(rows: list[Row], p: int | None = None) -> int:
                     r[cc] = nv
                 else:
                     del r[cc]
-    return len(pivots)
+    return list(pivots)
