@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import Graph
 from .homology import (
     MAX_SWEEP_VERTICES,
+    FaceCache,
     FieldSpec,
     HomologyProfile,
     homology_dims_from_levels,
@@ -101,10 +102,13 @@ def _hochster_terms(
     complex is not a cone; cones have no reduced homology and are skipped.
 
     This is the only loop over vertex subsets: every sweep goes through it.
+    A face keeps its boundary row in every Ind(G_W) that holds it, so the
+    sweep builds each row once, in one `FaceCache` that ends with the sweep.
     """
+    cache = FaceCache()
     for w in masks:
         if not _has_isolated_vertex(adj, w):
-            yield w, homology_dims_from_levels(independent_sets_by_card(adj, w), p)
+            yield w, homology_dims_from_levels(independent_sets_by_card(adj, w), p, cache)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

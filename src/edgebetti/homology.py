@@ -11,11 +11,13 @@ reduced homology at all.  Ranks are exact: one online echelon loop over the
 rationals (plain ints while every pivot leads with +-1) or GF(p), and bitmask
 XOR elimination over GF(2), taken from the top level down with clearing (Chen
 and Kerber 2011): the row of a face that leads a reduced row of the map above
-is never built.
+is skipped.  A sweep builds each face's row once and keeps it in a
+`FaceCache` for every later complex that holds the face.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,47 +125,86 @@ def independent_sets_by_card(adj: Sequence[int], vmask: int) -> list[list[int]]:
     return levels
 
 
-def homology_dims_from_levels(levels: list[list[int]], p: int | None) -> HomologyProfile:
+class FaceCache:
+    """Boundary rows of the faces one sweep has met, each built once.
+
+    The boundary of a face does not depend on the complex it lies in, so one
+    sweep over the subsets of a graph keeps one cache for its one field and
+    drops it when the sweep ends.  Over QQ and GF(p) a row is a dict keyed by
+    the face masks of the facets, with alternating signs.  Over GF(2) a row
+    is a bitmask over column ids: ``ids[c]`` numbers the c-vertex faces in
+    the order they are first met, so the row of a c-vertex face is as wide
+    as the number of (c-1)-vertex faces the sweep has met, not 2^n bits.
+    """
+
+    __slots__ = ("rows", "ids")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int] | int] = {}
+        self.ids: defaultdict[int, dict[int, int]] = defaultdict(dict)
+
+
+def homology_dims_from_levels(
+    levels: list[list[int]], p: int | None, cache: FaceCache | None = None
+) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
     ``levels[c]`` must list the c-vertex faces; ``levels[0] == [0]``.  Returns
     a dense map k -> dim ~H_k for k = -1 .. dim.  Coefficients are QQ when
-    *p* is None, GF(p) otherwise.
+    *p* is None, GF(p) otherwise.  Each face's boundary row is taken from
+    *cache* and built only when the cache has not met the face before; a
+    cache must serve one field only.  Without one, a fresh cache is used.
     """
+    if cache is None:
+        cache = FaceCache()
+    rows, ids = cache.rows, cache.ids
     top = len(levels) - 1
     # rank_out[c] = rank of the boundary map from the c-vertex faces down
     rank_out = [0] * (top + 2)
     # A face that leads a reduced row z of the map above is a face of the
     # cycle z: d(z) = 0 writes its row below through the rows of the other
     # faces of z, all on one side of the lead.  Skipping it keeps the span.
+    # Leads are face masks over QQ and GF(p), column ids over GF(2).
     cleared: set[int] = set()
     for c in range(top, 0, -1):
-        index = {m: t for t, m in enumerate(levels[c - 1])}
-        faces = [f for t, f in enumerate(levels[c]) if t not in cleared]
         if p == 2:
             masks = []
-            for face in faces:
-                row = 0
-                m = face
-                while m:
-                    low = m & -m
-                    m ^= low
-                    row |= 1 << index[face ^ low]
+            face_ids, col_ids = ids[c], ids[c - 1]
+            for face in levels[c]:
+                if face_ids.get(face) in cleared:
+                    continue
+                row = rows.get(face)
+                if row is None:
+                    row = 0
+                    m = face
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        col = col_ids.get(face ^ low)
+                        if col is None:
+                            col = col_ids[face ^ low] = len(col_ids)
+                        row |= 1 << col
+                    rows[face] = row
                 masks.append(row)
             leads = rank_gf2(masks)
         else:
-            rows = []
-            for face in faces:
-                row: dict[int, int] = {}
-                sign = 1
-                m = face
-                while m:
-                    low = m & -m
-                    m ^= low
-                    row[index[face ^ low]] = sign
-                    sign = -sign
-                rows.append(row)
-            leads = matrix_rank(rows, p)
+            matrix = []
+            for face in levels[c]:
+                if face in cleared:
+                    continue
+                row = rows.get(face)
+                if row is None:
+                    row = {}
+                    sign = 1
+                    m = face
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        row[face ^ low] = sign
+                        sign = -sign
+                    rows[face] = row
+                matrix.append(row)
+            leads = matrix_rank(matrix, p)
         rank_out[c] = len(leads)
         cleared = set(leads)
     dims: HomologyProfile = {}

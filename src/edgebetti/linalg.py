@@ -11,7 +11,7 @@ becomes the next pivot.  Over GF(p) every entry is reduced mod p.  Over the
 rationals a lead of +-1 keeps the pivot in plain ints, which for simplicial
 boundary matrices is almost always the case; any other lead is divided out
 as an exact ``Fraction``, so the result is exact in every case.  The work is
-deterministic: rows are taken in the order given.
+deterministic: rows are taken in the order given, and copied, never changed.
 
 Both return the lead columns of the echelon, so the rank is their count:
 the highest column of each reduced row (``matrix_rank``) or its lowest bit
@@ -45,7 +45,7 @@ def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
     pivots: dict[int, Row] = {}
     for row in rows:
         if p is None:
-            r = {c: v for c, v in row.items() if v}
+            r = dict(row)
         else:
             r = {c: v % p for c, v in row.items() if v % p}
         while r:

@@ -11,14 +11,16 @@ from edgebetti import linalg
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
+    _has_isolated_vertex,
+    _hochster_terms,
     betti_single,
     betti_table,
     hilbert_numerator,
     k_polynomial,
 )
 from edgebetti.families import g_pr1
-from edgebetti.graphs import new_graph
-from edgebetti.homology import FieldSpec
+from edgebetti.graphs import is_chordal, is_connected, new_graph
+from edgebetti.homology import FieldSpec, homology_dims_from_levels, independent_sets_by_card
 
 from oracles import naive_betti_table
 
@@ -194,6 +196,45 @@ def test_table_depends_on_field_rp2_witness(monkeypatch):
     gf2 = dict(tables[None])
     gf2[9, 3] = gf2[10, 2] = 1
     assert tables[2] == gf2
+
+
+def _seeded_sweep_graph():
+    """Seeded G(13, 26), redrawn until connected, non-chordal, min degree 2."""
+    rng = random.Random(13)
+    pairs = list(itertools.combinations(range(13), 2))
+    while True:
+        g = new_graph(13, rng.sample(pairs, 26))
+        if min(a.bit_count() for a in g.adj) >= 2 and is_connected(g) and not is_chordal(g):
+            return g
+
+
+# betti_table of _seeded_sweep_graph(), the same over QQ, GF(2) and GF(3).
+SWEEP_GRAPH_TABLE = {
+    (0, 0): 1, (1, 1): 26, (2, 1): 76, (2, 2): 74, (3, 1): 78, (3, 2): 412,
+    (3, 3): 11, (4, 1): 38, (4, 2): 903, (4, 3): 73, (5, 1): 12, (5, 2): 1091,
+    (5, 3): 204, (6, 1): 2, (6, 2): 841, (6, 3): 301, (7, 2): 457, (7, 3): 250,
+    (8, 2): 188, (8, 3): 117, (9, 2): 57, (9, 3): 29, (10, 2): 11, (10, 3): 3,
+    (11, 2): 1,
+}
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_golden_table_of_a_non_chordal_13_vertex_graph(p):
+    assert betti_table(_seeded_sweep_graph(), FieldSpec(p)).entries == SWEEP_GRAPH_TABLE
+
+
+def test_sweeps_in_turn_equal_fresh_calls():
+    # Each sweep keeps its own face cache: QQ, then GF(2), then QQ again over
+    # the RP^2 witness give, subset by subset, what a fresh cache gives.
+    adj = tuple(RP2_WITNESS.adj)
+    masks = range(1, 1 << RP2_WITNESS.n)
+    for p in (None, 2, None):
+        fresh = [
+            (w, homology_dims_from_levels(independent_sets_by_card(adj, w), p))
+            for w in masks
+            if not _has_isolated_vertex(adj, w)
+        ]
+        assert list(_hochster_terms(adj, masks, p)) == fresh, p
 
 
 def test_jobs_below_one_rejected():

@@ -14,6 +14,7 @@ from edgebetti.enumeration import all_chordal_graphs
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     MAX_SWEEP_VERTICES,
+    FaceCache,
     FieldSpec,
     homology_dims_from_levels,
     independent_sets_by_card,
@@ -193,8 +194,8 @@ def test_homology_matches_oracle_on_random_complexes():
 def _induced(adj, w):
     """Adjacency of G_W with W renumbered 0..|W|-1 in increasing order.
 
-    Renumbering keeps the order of every level of Ind(G_W), so two subsets
-    with the same induced graph run the same rank computation.
+    Two subsets with the same induced graph have the same boundary ranks at
+    every level, so the whole-matrix ranks are computed once per key.
     """
     pos = {v: k for k, v in enumerate(iter_bits(w))}
     return tuple(sum(1 << pos[u] for u in iter_bits(adj[v] & w)) for v in pos)
@@ -216,7 +217,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # still pass the Euler and sign checks, so compare every level with the
     # rank of the whole matrix.  Inputs: every non-cone subset of every
     # chordal graph up to 7 vertices and of 40 random graphs up to 9 (each
-    # induced graph once), the RP^2 witness and Ind(C_n) for n <= 12.
+    # induced graph once), the RP^2 witness and Ind(C_n) for n <= 12.  Then
+    # every source graph runs its non-cone subsets again in mask order
+    # through one shared face cache per field, as a Hochster sweep does, so
+    # that a row cached under one complex must also be right in the next.
     graphs = set()
     rng = random.Random(12)
     randoms = []
@@ -224,10 +228,15 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
         n = rng.randint(4, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         randoms.append(new_graph(n, edges))
+    sweeps = []  # per source graph: its non-cone subsets W in mask order, with G_W
     for g in [h for n in range(1, 8) for h in all_chordal_graphs(n)] + randoms:
-        for w in range(1, 1 << g.n):
-            if not _has_isolated_vertex(g.adj, w):
-                graphs.add(_induced(g.adj, w))
+        subsets = [
+            (w, _induced(g.adj, w))
+            for w in range(1, 1 << g.n)
+            if not _has_isolated_vertex(g.adj, w)
+        ]
+        sweeps.append((g.adj, subsets))
+        graphs.update(induced for _, induced in subsets)
     graphs.add(tuple(RP2_WITNESS.adj))
     for n in range(3, 13):
         graphs.add(tuple(new_graph(n, [(i, (i + 1) % n) for i in range(n)]).adj))
@@ -243,19 +252,33 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
 
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
     monkeypatch.setattr(homology, "rank_gf2", recorded(linalg.rank_gf2))
+
+    def check(levels, p, cache, full, where):
+        calls.clear()
+        homology_dims_from_levels(levels, p, cache)
+        top = len(levels) - 1
+        assert len(calls) == top, where
+        above = 0
+        for c, (rows, rank), want in zip(range(top, 0, -1), calls, full):
+            assert rows == len(levels[c]) - above, (where, c)
+            assert rank == want, (where, c)
+            above = rank
+
+    fields = (None, 2, 3)
+    full = {}
     for adj in sorted(graphs):
         levels = independent_sets_by_card(adj, (1 << len(adj)) - 1)
-        top = len(levels) - 1
-        for p in (None, 2, 3):
-            calls.clear()
-            homology_dims_from_levels(levels, p)
-            assert len(calls) == top, (adj, p)
-            above = 0
-            for c, (rows, rank) in zip(range(top, 0, -1), calls):
-                assert rows == len(levels[c]) - above, (adj, p, c)
-                assert rank == _full_rank(levels, c, p), (adj, p, c)
-                above = rank
+        for p in fields:
+            full[adj, p] = [_full_rank(levels, c, p) for c in range(len(levels) - 1, 0, -1)]
+            check(levels, p, None, full[adj, p], (adj, p))
     assert len(graphs) > 1500
+    for adj, subsets in sweeps:
+        caches = {p: FaceCache() for p in fields}
+        for w, induced in subsets:
+            levels = independent_sets_by_card(adj, w)
+            for p, cache in caches.items():
+                check(levels, p, cache, full[induced, p], (adj, w, p))
+    assert sum(len(subsets) for _, subsets in sweeps) > 25_000
 
 
 def test_cone_has_no_reduced_homology():
