@@ -23,10 +23,7 @@ from .betti import (
     k_polynomial,
 )
 from .bouquets import (
-    Bouquet,
-    BouquetSet,
     Certificate,
-    certificate_type,
     certified_positions,
     find_certificate,
     validate_bouquet_set,
@@ -65,8 +62,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bouquet",
-    "BouquetSet",
     "BettiTable",
     "Certificate",
     "ExtremalReport",
@@ -78,7 +73,6 @@ __all__ = [
     "betti_single",
     "betti_table",
     "build_family",
-    "certificate_type",
     "certified_positions",
     "extremal_positions",
     "find_certificate",

@@ -5,8 +5,8 @@ An entry beta_{i,i+j} is extremal when every other entry (k, l) with k >= i
 and l >= j vanishes — a corner of the table.  The corners form an antichain,
 there is always at least one, and there is exactly one precisely when the
 far corner beta_{p,p+r} (p = projective dimension, r = regularity) is
-nonzero.  That equivalence is checked on every call as an internal sanity
-check.
+nonzero.  The first and last corners give r and p; both facts are checked
+on every call as internal sanity checks.
 """
 
 from __future__ import annotations
@@ -14,29 +14,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .betti import BettiTable, Position
+from .betti import BettiTable
 from .homology import InvariantError
 
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Corner entries of a Betti table plus the headline invariants.
+    """Corner entries of a Betti table, and the invariants they determine.
 
     ``positions`` lists (i, j, value) by increasing i (hence strictly
-    decreasing j — an antichain).
+    decreasing j — an antichain).  The first corner sits on the top strand
+    and the last in the last column, so they give the regularity and the
+    projective dimension.
     """
 
     positions: tuple[tuple[int, int, int], ...]
-    count: int
-    regularity: int
-    projective_dimension: int
-    unique: bool
 
     def __post_init__(self) -> None:
-        if self.count != len(self.positions) or self.count < 1:
-            raise ValueError("count must equal the number of positions (>= 1)")
-        if self.unique != (self.count == 1):
-            raise ValueError("unique flag inconsistent with count")
+        if not self.positions:
+            raise ValueError("a table has at least one corner")
         prev_i, prev_j = -1, None
         for i, j, v in self.positions:
             if v <= 0:
@@ -44,6 +40,22 @@ class ExtremalReport:
             if i <= prev_i or (prev_j is not None and j >= prev_j):
                 raise ValueError("positions must be an antichain sorted by i")
             prev_i, prev_j = i, j
+
+    @property
+    def count(self) -> int:
+        return len(self.positions)
+
+    @property
+    def unique(self) -> bool:
+        return len(self.positions) == 1
+
+    @property
+    def regularity(self) -> int:
+        return self.positions[0][1]
+
+    @property
+    def projective_dimension(self) -> int:
+        return self.positions[-1][0]
 
 
 def regularity(t: BettiTable) -> int:
@@ -73,16 +85,16 @@ def extremal_positions(t: BettiTable) -> ExtremalReport:
                 (k, l) != (i, j) and k >= i and l >= j for (k, l) in support
             )
         )
+    report = ExtremalReport(tuple((i, j, t.get(i, j)) for i, j in corners))
     reg = regularity(t)
     pd = projective_dimension(t)
-    report = ExtremalReport(
-        positions=tuple((i, j, t.get(i, j)) for i, j in corners),
-        count=len(corners),
-        regularity=reg,
-        projective_dimension=pd,
-        unique=len(corners) == 1,
-    )
-    # corner count 1 must coincide with the far corner (pd, reg) being hit
+    # the corners must give the table's invariants, and there must be one
+    # corner exactly when the far corner (pd, reg) is hit
+    if (report.projective_dimension, report.regularity) != (pd, reg):
+        raise InvariantError(
+            f"unique-corner check broke: the corners give (pd, reg) = "
+            f"({report.projective_dimension}, {report.regularity}), the table ({pd}, {reg})"
+        )
     if report.unique != ((pd, reg) in support):
         raise InvariantError("unique-corner equivalence broke")
     return report

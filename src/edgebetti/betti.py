@@ -74,16 +74,6 @@ class BettiTable:
         ents = sorted([i, j, v] for (i, j), v in self.entries.items())
         return {"n": self.n, "entries": ents}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BettiTable":
-        entries = {}
-        for item in d["entries"]:
-            i, j, v = item
-            if (i, j) in entries:
-                raise ValueError(f"duplicate entry at ({i},{j})")
-            entries[(int(i), int(j))] = int(v)
-        return cls(int(d["n"]), entries)
-
 
 def _has_isolated_vertex(adj: Sequence[int], w: int) -> bool:
     m = w

@@ -29,120 +29,82 @@ Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class Bouquet:
-    """A star subgraph: ``root`` together with ``leaves`` (sorted, nonempty)."""
+class Certificate:
+    """A set of bouquets plus one representative root-leaf edge each.
 
-    root: int
-    leaves: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.root < 0:
-            raise ValueError("negative root")
-        if not self.leaves:
-            raise ValueError("bouquet needs at least one leaf")
-        prev = -1
-        for leaf in self.leaves:
-            if leaf <= prev:
-                raise ValueError("leaves must be sorted and distinct")
-            if leaf == self.root:
-                raise ValueError("root cannot be its own leaf")
-            prev = leaf
-
-    def vertices_mask(self) -> int:
-        m = 1 << self.root
-        for leaf in self.leaves:
-            m |= 1 << leaf
-        return m
-
-
-@dataclass(frozen=True)
-class BouquetSet:
-    """Bouquets plus one representative root-leaf edge each, index-aligned.
-
-    Representatives are stored as (u, v) with u < v.  Bouquets are kept
-    sorted by root so equal sets compare equal.
+    ``bouquets`` holds (root, leaves) pairs sorted by root, each with
+    nonempty, sorted and distinct leaves; ``representatives`` holds the
+    edge (u, v), u < v, picked for each bouquet, index-aligned.  Whether
+    the set is strongly disjoint in a given graph is up to
+    `validate_bouquet_set`.
     """
 
-    bouquets: tuple[Bouquet, ...]
+    bouquets: tuple[tuple[int, tuple[int, ...]], ...]
     representatives: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         if not self.bouquets or len(self.bouquets) != len(self.representatives):
             raise ValueError("need one representative per bouquet (and at least one)")
         prev_root = -1
-        for b, (u, v) in zip(self.bouquets, self.representatives):
-            if b.root <= prev_root:
+        for (root, leaves), (u, v) in zip(self.bouquets, self.representatives):
+            if root < 0:
+                raise ValueError("negative root")
+            if root <= prev_root:
                 raise ValueError("bouquets must be sorted by root")
-            prev_root = b.root
+            prev_root = root
+            if not leaves:
+                raise ValueError("bouquet needs at least one leaf")
+            prev = -1
+            for leaf in leaves:
+                if leaf <= prev:
+                    raise ValueError("leaves must be sorted and distinct")
+                if leaf == root:
+                    raise ValueError("root cannot be its own leaf")
+                prev = leaf
             if u >= v:
                 raise ValueError(f"representative ({u},{v}) not in sorted form")
-            if b.root not in (u, v) or (u if b.root == v else v) not in b.leaves:
+            if root not in (u, v) or (u if root == v else v) not in leaves:
                 raise ValueError(f"representative ({u},{v}) is not a root-leaf edge")
 
-    def vertices_mask(self) -> int:
-        m = 0
-        for b in self.bouquets:
-            m |= b.vertices_mask()
-        return m
+    @property
+    def type(self) -> tuple[int, int]:
+        """(total leaves, #bouquets): the position (i, j) witnessed."""
+        return sum(len(leaves) for _, leaves in self.bouquets), len(self.bouquets)
 
-
-def certificate_type(bs: BouquetSet) -> tuple[int, int]:
-    """Type (total vertices - #bouquets, #bouquets) of a validated set."""
-    s = len(bs.bouquets)
-    total = sum(1 + len(b.leaves) for b in bs.bouquets)
-    return total - s, s
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A strongly disjoint bouquet set witnessing the position ``type``.
-
-    ``witness`` is the covered vertex set W as a bitmask; the bouquets
-    partition it.
-    """
-
-    bouquet_set: BouquetSet
-    type: tuple[int, int]
-    witness: int
-
-    def __post_init__(self) -> None:
-        if self.type != certificate_type(self.bouquet_set):
-            raise ValueError("declared type does not match the bouquet set")
-        if self.witness != self.bouquet_set.vertices_mask():
-            raise ValueError("witness set does not match the bouquet vertices")
+    @property
+    def witness(self) -> int:
+        """The covered vertex set W as a bitmask."""
+        return mask_of(v for root, leaves in self.bouquets for v in (root, *leaves))
 
     def to_json_dict(self) -> dict:
         return {
             "type": list(self.type),
             "bouquets": [
-                {"root": b.root, "leaves": list(b.leaves)}
-                for b in self.bouquet_set.bouquets
+                {"root": root, "leaves": list(leaves)} for root, leaves in self.bouquets
             ],
-            "representatives": [list(e) for e in self.bouquet_set.representatives],
+            "representatives": [list(e) for e in self.representatives],
         }
 
 
-def validate_bouquet_set(g: Graph, bs: BouquetSet) -> bool:
-    """True iff *bs* is a strongly disjoint set of bouquets of *g*.
+def validate_bouquet_set(g: Graph, cert: Certificate) -> bool:
+    """True iff the bouquets of *cert* are a strongly disjoint set in *g*.
 
     Structural defects (vertex out of range, leaf not adjacent to its root)
     raise ValueError; mere failure of strong disjointness — overlapping
     bouquets, or representatives not an induced matching — returns False.
     """
-    for b in bs.bouquets:
-        for v in (b.root, *b.leaves):
+    for root, leaves in cert.bouquets:
+        for v in (root, *leaves):
             if v >= g.n:
                 raise ValueError(f"vertex {v} out of range")
-        for leaf in b.leaves:
-            if not g.has_edge(b.root, leaf):
-                raise ValueError(f"leaf {leaf} not adjacent to root {b.root}")
-    seen = 0
-    for b in bs.bouquets:
-        m = b.vertices_mask()
-        if m & seen:
-            return False
-        seen |= m
-    return is_induced_matching(g, bs.representatives)
+        for leaf in leaves:
+            if not g.has_edge(root, leaf):
+                raise ValueError(f"leaf {leaf} not adjacent to root {root}")
+    # each bouquet has 1 + |leaves| distinct vertices, so the bouquets are
+    # disjoint iff together they cover i + j vertices
+    if cert.witness.bit_count() != sum(cert.type):
+        return False
+    return is_induced_matching(g, cert.representatives)
 
 
 def _induced_matchings(
@@ -214,13 +176,13 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
         for w in attachable[:need]:
             leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
         ordered = sorted(zip(roots, matching))
-        bs = BouquetSet(
-            tuple(Bouquet(r, tuple(sorted(leaves[r]))) for r, _ in ordered),
+        cert = Certificate(
+            tuple((r, tuple(sorted(leaves[r]))) for r, _ in ordered),
             tuple(e for _, e in ordered),
         )
-        if not validate_bouquet_set(g, bs):
+        if cert.type != (i, j) or not validate_bouquet_set(g, cert):
             raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
-        return Certificate(bs, (i, j), bs.vertices_mask())
+        return cert
     return None
 
 

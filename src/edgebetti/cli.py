@@ -236,9 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_betti = sub.add_parser("betti", help="Betti table of a graph's edge ideal")
     add_input(p_betti)
     p_betti.add_argument("--field", default="qq", help="qq (default), gf2, or gfp:<p>")
-    p_betti.add_argument("--json", action="store_true", help="emit the table as JSON")
-    p_betti.add_argument("--csv", action="store_true", help="emit the table as CSV")
-    p_betti.add_argument(
+    output = p_betti.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit the table as JSON")
+    output.add_argument("--csv", action="store_true", help="emit the table as CSV")
+    output.add_argument(
         "--cell", nargs=2, type=int, metavar=("I", "J"), help="print the single entry (i, j)"
     )
     p_betti.set_defaults(func=cmd_betti)

@@ -2,7 +2,7 @@
 
 Each ``verify_*`` function recomputes a claim from scratch — Betti table,
 invariants, certificate search — and returns a VerificationReport whose
-``passed`` flag is simply ``expected == computed``.  Reports serialize to
+``passed`` property is simply ``expected == computed``.  Reports serialize to
 JSON-friendly dicts so the CLI can stream them as JSON lines.
 """
 
@@ -29,13 +29,12 @@ class VerificationReport:
     params: dict
     expected: object
     computed: object
-    passed: bool
     skipped: bool = False
     runtime: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.expected == self.computed):
-            raise ValueError("passed flag must mirror expected == computed")
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.computed
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,7 +54,6 @@ def _report(claim: str, params: dict, expected, computed, t0: float) -> Verifica
         params=params,
         expected=expected,
         computed=computed,
-        passed=expected == computed,
         runtime=time.perf_counter() - t0,
     )
 
@@ -66,7 +64,6 @@ def _skipped(claim: str, params: dict, reason: str, t0: float) -> VerificationRe
         params=dict(params, reason=reason),
         expected=None,
         computed=None,
-        passed=True,
         skipped=True,
         runtime=time.perf_counter() - t0,
     )

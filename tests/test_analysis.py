@@ -89,24 +89,18 @@ def test_extremal_positions_antichain_randomized():
 
 
 def test_report_validation():
-    with pytest.raises(ValueError):
-        ExtremalReport(positions=(), count=0, regularity=0, projective_dimension=0, unique=False)
-    with pytest.raises(ValueError):
-        ExtremalReport(
-            positions=((1, 1, 1),), count=1, regularity=1, projective_dimension=1, unique=False
-        )
-    with pytest.raises(ValueError):  # not an antichain
-        ExtremalReport(
-            positions=((1, 2, 1), (2, 2, 1)),
-            count=2,
-            regularity=2,
-            projective_dimension=2,
-            unique=False,
-        )
-    with pytest.raises(ValueError):  # nonpositive value
-        ExtremalReport(
-            positions=((1, 1, 0),), count=1, regularity=1, projective_dimension=1, unique=True
-        )
+    rep = ExtremalReport(positions=((2, 3, 1), (4, 1, 2)))
+    assert (rep.count, rep.unique) == (2, False)
+    assert (rep.regularity, rep.projective_dimension) == (3, 4)
+    assert ExtremalReport(positions=((0, 0, 1),)).unique
+    with pytest.raises(ValueError, match="at least one corner"):
+        ExtremalReport(positions=())
+    with pytest.raises(ValueError, match="antichain"):
+        ExtremalReport(positions=((1, 2, 1), (2, 2, 1)))
+    with pytest.raises(ValueError, match="antichain"):  # not sorted by i
+        ExtremalReport(positions=((2, 1, 1), (1, 2, 1)))
+    with pytest.raises(ValueError, match="positive"):
+        ExtremalReport(positions=((1, 1, 0),))
 
 
 def test_regularity_at_least_induced_matching_number():

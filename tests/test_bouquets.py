@@ -9,10 +9,7 @@ import pytest
 from edgebetti import bouquets
 from edgebetti.betti import betti_table
 from edgebetti.bouquets import (
-    Bouquet,
-    BouquetSet,
     Certificate,
-    certificate_type,
     certified_positions,
     find_certificate,
     validate_bouquet_set,
@@ -29,67 +26,77 @@ def path(n):
 
 
 def test_bouquet_validation():
-    Bouquet(0, (1, 2))
-    with pytest.raises(ValueError):
-        Bouquet(0, ())
-    with pytest.raises(ValueError):
-        Bouquet(0, (2, 1))  # unsorted
-    with pytest.raises(ValueError):
-        Bouquet(1, (1, 2))  # root among leaves
-    assert Bouquet(2, (0, 5)).vertices_mask() == 0b100101
+    # The shape checks of one bouquet, each on a one-bouquet certificate.
+    Certificate(((0, (1, 2)),), ((0, 1),))
+    with pytest.raises(ValueError, match="at least one leaf"):
+        Certificate(((0, ()),), ((0, 1),))
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        Certificate(((0, (2, 1)),), ((0, 1),))  # unsorted
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        Certificate(((0, (1, 1)),), ((0, 1),))  # repeated leaf
+    with pytest.raises(ValueError, match="its own leaf"):
+        Certificate(((1, (1, 2)),), ((1, 2),))  # root among leaves
+    with pytest.raises(ValueError, match="negative root"):
+        Certificate(((-1, (0,)),), ((-1, 0),))
+    assert Certificate(((2, (0, 5)),), ((0, 2),)).witness == 0b100101
 
 
 def test_bouquet_set_validation():
-    b0 = Bouquet(0, (1,))
-    b2 = Bouquet(2, (3,))
-    BouquetSet((b0, b2), ((0, 1), (2, 3)))
-    with pytest.raises(ValueError):
-        BouquetSet((b2, b0), ((2, 3), (0, 1)))  # roots out of order
-    with pytest.raises(ValueError):
-        BouquetSet((b0, b2), ((0, 1),))  # representative count off
-    with pytest.raises(ValueError):
-        BouquetSet((b0,), ((1, 0),))  # unsorted pair
-    with pytest.raises(ValueError):
-        BouquetSet((b0,), ((2, 3),))  # not a root-leaf edge of b0
-    with pytest.raises(ValueError):
-        BouquetSet((), ())
+    b0 = (0, (1,))
+    b2 = (2, (3,))
+    Certificate((b0, b2), ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="sorted by root"):
+        Certificate((b2, b0), ((2, 3), (0, 1)))  # roots out of order
+    with pytest.raises(ValueError, match="sorted by root"):
+        Certificate((b0, (0, (2,))), ((0, 1), (0, 2)))  # repeated root
+    with pytest.raises(ValueError, match="one representative per bouquet"):
+        Certificate((b0, b2), ((0, 1),))  # representative count off
+    with pytest.raises(ValueError, match="sorted form"):
+        Certificate((b0,), ((1, 0),))  # unsorted pair
+    with pytest.raises(ValueError, match="root-leaf edge"):
+        Certificate((b0,), ((2, 3),))  # not a root-leaf edge of b0
+    with pytest.raises(ValueError, match="root-leaf edge"):
+        Certificate(((1, (0, 2)),), ((0, 2),))  # two leaves, not an edge at the root
+    with pytest.raises(ValueError, match="one representative per bouquet"):
+        Certificate((), ())
 
 
 def test_certificate_type():
-    bs = BouquetSet((Bouquet(0, (1, 4)), Bouquet(2, (3,))), ((0, 1), (2, 3)))
-    assert certificate_type(bs) == (3, 2)  # 5 vertices, 2 bouquets
+    cert = Certificate(((0, (1, 4)), (2, (3,))), ((0, 1), (2, 3)))
+    assert cert.type == (3, 2)  # 5 vertices, 2 bouquets
+    assert cert.witness == 0b11111
 
 
 def test_certificate_validation_and_json():
-    bs = BouquetSet((Bouquet(0, (1,)),), ((0, 1),))
-    cert = Certificate(bs, (1, 1), 0b11)
+    cert = Certificate(((0, (1,)),), ((0, 1),))
+    assert (cert.type, cert.witness) == ((1, 1), 0b11)
     assert cert.to_json_dict() == {
         "type": [1, 1],
         "bouquets": [{"root": 0, "leaves": [1]}],
         "representatives": [[0, 1]],
     }
-    with pytest.raises(ValueError):
-        Certificate(bs, (2, 1), 0b11)  # wrong type
-    with pytest.raises(ValueError):
-        Certificate(bs, (1, 1), 0b111)  # witness too big
+    assert cert == Certificate(((0, (1,)),), ((0, 1),))
 
 
 def test_validate_bouquet_set_against_graph():
     g = path(6)  # 0-1-2-3-4-5
-    ok = BouquetSet((Bouquet(1, (0,)), Bouquet(4, (3, 5))), ((0, 1), (3, 4)))
+    ok = Certificate(((1, (0,)), (4, (3, 5))), ((0, 1), (3, 4)))
     assert validate_bouquet_set(g, ok)
     # overlapping bouquets: shared vertex 2
-    overlap = BouquetSet((Bouquet(1, (0, 2)), Bouquet(2, (3,))), ((0, 1), (2, 3)))
+    overlap = Certificate(((1, (0, 2)), (2, (3,))), ((0, 1), (2, 3)))
     assert not validate_bouquet_set(g, overlap)
+    # shared vertex 2, although the representatives are an induced matching
+    shared_leaf = Certificate(((1, (0, 2)), (3, (2, 4))), ((0, 1), (3, 4)))
+    assert not validate_bouquet_set(g, shared_leaf)
     # disjoint but representatives not induced (edge 2-3 joins them)
-    close = BouquetSet((Bouquet(1, (2,)), Bouquet(3, (4,))), ((1, 2), (3, 4)))
+    close = Certificate(((1, (2,)), (3, (4,))), ((1, 2), (3, 4)))
     assert not validate_bouquet_set(g, close)
     # leaf not adjacent to root: structural, raises
     with pytest.raises(ValueError):
-        validate_bouquet_set(g, BouquetSet((Bouquet(0, (2,)),), ((0, 2),)))
+        validate_bouquet_set(g, Certificate(((0, (2,)),), ((0, 2),)))
     # vertex out of range: structural, raises
     with pytest.raises(ValueError):
-        validate_bouquet_set(path(2), BouquetSet((Bouquet(0, (5,)),), ((0, 5),)))
+        validate_bouquet_set(path(2), Certificate(((0, (5,)),), ((0, 5),)))
 
 
 def test_validate_whole_graph_bouquet_in_grb():
@@ -99,9 +106,9 @@ def test_validate_whole_graph_bouquet_in_grb():
         g = g_rb(r, b)
         z = 2 * r
         leaves = tuple(v for v in range(g.n) if v != z)
-        bs = BouquetSet((Bouquet(z, leaves),), ((min(z, leaves[0]), max(z, leaves[0])),))
-        assert validate_bouquet_set(g, bs)
-        assert certificate_type(bs) == (2 * r + b - 1, 1)
+        cert = Certificate(((z, leaves),), ((min(z, leaves[0]), max(z, leaves[0])),))
+        assert validate_bouquet_set(g, cert)
+        assert cert.type == (2 * r + b - 1, 1)
 
 
 def test_find_certificate_single_edge():
@@ -110,7 +117,7 @@ def test_find_certificate_single_edge():
     assert cert is not None
     assert cert.type == (1, 1)
     assert cert.witness == 0b11
-    assert cert.bouquet_set.bouquets == (Bouquet(0, (1,)),)
+    assert cert.bouquets == ((0, (1,)),)
 
 
 def test_find_certificate_impossible_types():
@@ -138,10 +145,10 @@ def test_find_certificate_is_deterministic_and_valid():
     b = find_certificate(g, 6, 4)
     assert a == b
     assert a is not None
-    assert validate_bouquet_set(g, a.bouquet_set)
-    assert certificate_type(a.bouquet_set) == (6, 4)
+    assert validate_bouquet_set(g, a)
+    assert a.type == (6, 4)
     # bouquets partition the witness
-    total = sum(1 + len(bq.leaves) for bq in a.bouquet_set.bouquets)
+    total = sum(1 + len(leaves) for _, leaves in a.bouquets)
     assert total == a.witness.bit_count()
 
 
@@ -156,7 +163,7 @@ def test_find_certificate_respects_lex_order():
     # ((0,1),) so the type (1,1) certificate roots at 0.
     g = new_graph(4, [(0, 1), (2, 3)])
     cert = find_certificate(g, 1, 1)
-    assert cert.bouquet_set.bouquets[0].root == 0
+    assert cert.bouquets[0][0] == 0
     cert22 = find_certificate(g, 2, 2)
     assert cert22 is not None
     assert cert22.witness == 0b1111
@@ -175,13 +182,13 @@ def test_certificates_exist_at_extremal_positions_of_path_star():
         cert = find_certificate(g, r + 1, r)
         assert cert is not None
         assert cert.witness == (1 << g.n) - 1  # uses every vertex
-        sizes = sorted(1 + len(b.leaves) for b in cert.bouquet_set.bouquets)
+        sizes = sorted(1 + len(leaves) for _, leaves in cert.bouquets)
         assert sizes == [2] * (r - 1) + [3]
         # the hub z is a leaf of the one 3-vertex bouquet, rooted at a y vertex
         hub = 2 * r
-        big = max(cert.bouquet_set.bouquets, key=lambda b: len(b.leaves))
-        assert hub in big.leaves
-        assert r <= big.root < 2 * r
+        root, leaves = max(cert.bouquets, key=lambda b: len(b[1]))
+        assert hub in leaves
+        assert r <= root < 2 * r
 
 
 def test_size_caps():

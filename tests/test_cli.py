@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgebetti.betti import BettiTable, betti_table
+from edgebetti.betti import betti_table
 from edgebetti.cli import main
 from edgebetti.families import g_rb, path_star, star_triangle
 from edgebetti.graphs import graph_to_text, new_graph, parse_graph
@@ -106,8 +106,7 @@ def test_betti_from_stdin(capsys, monkeypatch):
 def test_betti_json_round_trip(capsys):
     code, out, _ = run(capsys, "betti", "--family", "grb:3,2", "--json")
     assert code == 0
-    table = BettiTable.from_json_dict(json.loads(out))
-    assert table == betti_table(g_rb(3, 2))
+    assert json.loads(out) == betti_table(g_rb(3, 2)).to_json_dict()
 
 
 def test_betti_csv(capsys):
@@ -142,6 +141,24 @@ def test_betti_rejects_jobs_flag(capsys):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "--jobs" in out.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--json", "--csv"],
+        ["--cell", "1", "1", "--json"],
+        ["--csv", "--cell", "1", "1"],
+    ],
+    ids=["json-csv", "cell-json", "csv-cell"],
+)
+def test_betti_output_flags_exclusive(capsys, flags):
+    # One output form per call: a second one is a usage error, not dropped.
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--family", "grb:3,2", *flags])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
 
 
 @pytest.mark.parametrize(
@@ -200,10 +217,11 @@ def test_betti_needs_exactly_one_source(capsys, tmp_path):
 def test_cert_found(capsys):
     code, out, err = run(capsys, "cert", "3", "2", "--family", "path-star:2")
     assert code == 0 and err == ""
-    d = json.loads(out)
-    assert d["type"] == [3, 2]
-    assert len(d["bouquets"]) == 2
-    assert len(d["representatives"]) == 2
+    # the README's line, byte for byte
+    assert out == (
+        '{"type": [3, 2], "bouquets": [{"root": 1, "leaves": [3]}, '
+        '{"root": 2, "leaves": [0, 4]}], "representatives": [[1, 3], [0, 2]]}\n'
+    )
 
 
 def test_cert_none(capsys):
@@ -239,8 +257,29 @@ def test_verify_path_star_is_the_gpr1_boundary(capsys):
 def test_verify_grb_symbolic_range(capsys):
     code, out, _ = run(capsys, "verify", "grb", "--r", "2..3", "--b", "2..r")
     assert code == 0
-    params = [json.loads(line)["params"] for line in out.strip().splitlines()]
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    params = [rep["params"] for rep in reports]
     assert params == [{"r": 2, "b": 2}, {"r": 3, "b": 2}, {"r": 3, "b": 3}]
+    last = reports[-1]
+    assert list(last) == sorted(last)
+    del last["runtime"]
+    facts = {
+        "chordal": True,
+        "extremal_count": 3,
+        "extremal_positions": [[6, 3], [7, 2], [8, 1]],
+        "induced_matching_number": 3,
+        "projective_dimension": 8,
+        "regularity": 3,
+        "vanishing_rectangle": True,
+    }
+    assert last == {
+        "claim": "grb",
+        "computed": facts,
+        "expected": facts,
+        "params": {"b": 3, "r": 3},
+        "passed": True,
+        "skipped": False,
+    }
 
 
 def test_verify_gpr1_symbolic_range(capsys):
@@ -328,7 +367,7 @@ def test_verify_rejects_multiple_sources(capsys):
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import edgebetti.cli as cli_mod
 
-    failing = VerificationReport("cert-support", {"graph": "x"}, 1, 2, passed=False)
+    failing = VerificationReport("cert-support", {"graph": "x"}, 1, 2)
     monkeypatch.setattr(cli_mod, "verify_cert_support", lambda g, name: failing)
     code, out, _ = run(capsys, "verify", "support", "--family", "path-star:1")
     assert code == 1

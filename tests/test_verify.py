@@ -32,19 +32,22 @@ def cycle(n):
 
 
 def test_report_consistency_enforced():
-    VerificationReport("x", {}, 1, 1, passed=True)
-    with pytest.raises(ValueError):
-        VerificationReport("x", {}, 1, 2, passed=True)
-    with pytest.raises(ValueError):
-        VerificationReport("x", {}, 1, 1, passed=False)
+    # passed is derived from expected == computed, so it cannot disagree
+    assert VerificationReport("x", {}, 1, 1).passed
+    assert not VerificationReport("x", {}, 1, 2).passed
+    assert VerificationReport("x", {}, None, None, skipped=True).passed
+    with pytest.raises(TypeError):
+        VerificationReport("x", {}, 1, 1, passed=True)
 
 
 def test_report_json_dict():
-    rep = VerificationReport("x", {"r": 2}, 1, 1, passed=True, runtime=0.12345678)
+    rep = VerificationReport("x", {"r": 2}, 1, 1, runtime=0.12345678)
     d = rep.to_json_dict()
+    assert list(d) == ["claim", "params", "expected", "computed", "passed", "skipped", "runtime"]
     assert d["claim"] == "x" and d["passed"] is True
     assert d["runtime"] == 0.123457
     assert d["skipped"] is False
+    assert VerificationReport("x", {}, 1, 2).to_json_dict()["passed"] is False
 
 
 @pytest.mark.parametrize("r,b", [(2, 2), (3, 2), (3, 3)])
