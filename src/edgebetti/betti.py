@@ -91,10 +91,14 @@ def _hochster_terms(
     """(W, reduced homology dims of Ind(G_W)) for every W in *masks* whose
     complex is not a cone; cones have no reduced homology and are skipped.
 
-    This is the only loop over vertex subsets: every sweep goes through it.
-    A face keeps its boundary row in every Ind(G_W) that holds it, so the
-    sweep builds each row once, in one `FaceCache` that ends with the sweep.
+    This is the only loop over vertex subsets: every sweep goes through it,
+    and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
+    subset.  A face keeps its boundary row in every Ind(G_W) that holds it,
+    so the sweep builds each row once, in one `FaceCache` that ends with the
+    sweep.
     """
+    if len(adj) > MAX_SWEEP_VERTICES:
+        raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
     cache = FaceCache()
     for w in masks:
         if not _has_isolated_vertex(adj, w):
@@ -108,8 +112,6 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> Bett
     ``jobs`` is accepted for existing callers: it must be at least 1 and has
     no other effect.
     """
-    if g.n > MAX_SWEEP_VERTICES:
-        raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     cells: dict[Position, int] = {(0, 0): 1}

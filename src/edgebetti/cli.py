@@ -35,8 +35,7 @@ from .homology import FieldSpec
 from .verify import (
     MAX_EQUIVALENCE_VERTICES,
     MAX_ORACLE_VERTICES,
-    check_gpr1_params,
-    check_grb_params,
+    oracle_member,
     verify_cert_support,
     verify_gpr1,
     verify_grb,
@@ -78,14 +77,14 @@ def _parse_range(flag: str, text: str, symbol: str | None = None) -> tuple[int, 
         raise ValueError(f"--{flag} takes {forms}, got {text!r}") from None
 
 
-def _param_grid(args, outer: str, inner: str, top, check) -> list[tuple[int, int]]:
+def _param_grid(args, family: str, outer: str, inner: str, top) -> list[tuple[int, int]]:
     """Every (outer, inner) pair that the scope's two range flags name.
 
     The inner range may end in the outer flag's name, e.g. "--b 2..r",
     which stands for ``top(outer value)``.  Every range must be nonempty
-    and every pair must pass *check*, the family's parameter rule, before
-    the first report runs.  The rule caps both values, so even a huge
-    range fails within a few pairs.
+    and every pair must pass `oracle_member`, before the first report
+    runs.  The family's rule and the vertex cap bound both values, so even
+    a huge range fails within a few pairs.
     """
     o_lo, o_hi = _parse_range(outer, getattr(args, outer))
     i_lo, i_hi = _parse_range(inner, getattr(args, inner), symbol=outer)
@@ -97,7 +96,7 @@ def _param_grid(args, outer: str, inner: str, top, check) -> list[tuple[int, int
         if top_a < i_lo:
             raise ValueError(f"empty range --{inner} {i_lo}..{top_a} at {outer} = {a}")
         for b in range(i_lo, top_a + 1):
-            check(a, b)
+            oracle_member(family, a, b)
             grid.append((a, b))
     return grid
 
@@ -144,10 +143,13 @@ def cmd_cert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(report, failures: list) -> None:
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
-    if not report.passed:
-        failures.append(report.claim)
+def _replay(reports) -> int:
+    """Print each report as one JSON line; 1 if any of them failed, else 0."""
+    failed = False
+    for report in reports:
+        print(json.dumps(report.to_json_dict(), sort_keys=True))
+        failed |= not report.passed
+    return 1 if failed else 0
 
 
 def _sweep_graphs(args: argparse.Namespace, max_n: int):
@@ -169,11 +171,15 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
             "need exactly one graph source: --family, an input file, "
             "--trees-upto, --all-chordal-upto or --random"
         )
+    if args.random is None:
+        for flag, value in (("--max-n", args.max_n), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} needs --random")
     for flag, value, cap in (
         ("--trees-upto", args.trees_upto, min(MAX_TREE_VERTICES, max_n)),
         ("--all-chordal-upto", args.all_chordal_upto, min(MAX_CHORDAL_VERTICES, max_n)),
         ("--random", args.random, None),
-        ("--max-n", args.max_n if args.random is not None else None, max_n),
+        ("--max-n", args.max_n, max_n),
     ):
         if value is None:
             continue
@@ -192,27 +198,31 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
             for idx, g in enumerate(all_chordal_graphs(n)):
                 yield f"chordal(n={n},#{idx})", g
     else:
-        rng = random.Random(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = random.Random(seed)
         for idx in range(args.random):
-            n = rng.randint(1, args.max_n)
-            yield f"random(seed={args.seed},#{idx},n={n})", random_chordal(n, rng)
+            n = rng.randint(1, 8 if args.max_n is None else args.max_n)
+            yield f"random(seed={seed},#{idx},n={n})", random_chordal(n, rng)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    failures: list = []
-    if args.scope == "grb":
-        for r, b in _param_grid(args, "r", "b", lambda r: r, check_grb_params):
-            _emit(verify_grb(r, b), failures)
-    elif args.scope == "gpr1":
-        for p, r in _param_grid(args, "p", "r", lambda p: p - 1, check_gpr1_params):
-            _emit(verify_gpr1(p, r), failures)
-    elif args.scope == "support":
-        for name, g in _sweep_graphs(args, MAX_EQUIVALENCE_VERTICES):
-            _emit(verify_cert_support(g, name), failures)
-    elif args.scope == "reg-indmatch":
-        for name, g in _sweep_graphs(args, MAX_ORACLE_VERTICES):
-            _emit(verify_reg_eq_indmatch(g, name), failures)
-    return 1 if failures else 0
+def cmd_verify_grb(args: argparse.Namespace) -> int:
+    grid = _param_grid(args, "grb", "r", "b", lambda r: r)
+    return _replay(verify_grb(r, b) for r, b in grid)
+
+
+def cmd_verify_gpr1(args: argparse.Namespace) -> int:
+    grid = _param_grid(args, "gpr1", "p", "r", lambda p: p - 1)
+    return _replay(verify_gpr1(p, r) for p, r in grid)
+
+
+def cmd_verify_support(args: argparse.Namespace) -> int:
+    graphs = _sweep_graphs(args, MAX_EQUIVALENCE_VERTICES)
+    return _replay(verify_cert_support(g, name) for name, g in graphs)
+
+
+def cmd_verify_reg_indmatch(args: argparse.Namespace) -> int:
+    graphs = _sweep_graphs(args, MAX_ORACLE_VERTICES)
+    return _replay(verify_reg_eq_indmatch(g, name) for name, g in graphs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,38 +260,33 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p_cert)
     p_cert.set_defaults(func=cmd_cert)
 
-    p_verify = sub.add_parser(
-        "verify", help="replay family and equivalence checks (JSON lines)"
-    )
-    p_verify.add_argument(
-        "scope", choices=("grb", "gpr1", "support", "reg-indmatch")
-    )
-    add_input(p_verify)
-    p_verify.add_argument("--r", default=None, help='range like "2..4"; for grb, --b may be "2..r"')
-    p_verify.add_argument("--b", default=None, help='range for grb, e.g. "2..r"')
-    p_verify.add_argument("--p", default=None, help='range for gpr1; --r may then be "1..p"')
-    p_verify.add_argument("--trees-upto", type=int, default=None, metavar="N")
-    p_verify.add_argument("--all-chordal-upto", type=int, default=None, metavar="N")
-    p_verify.add_argument("--random", type=int, default=None, metavar="COUNT")
-    p_verify.add_argument("--max-n", type=int, default=8, help="max size for --random")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify = sub.add_parser("verify", help="replay family and equivalence checks (JSON lines)")
+    scopes = p_verify.add_subparsers(dest="scope", required=True)
+    # Each scope takes only its own flags.  Abbreviations are off, so that
+    # no flag of another scope can pass for a prefix of one of these.
+    for scope, func, ranges in (
+        ("grb", cmd_verify_grb, {"r": "2..4", "b": "2..r"}),
+        ("gpr1", cmd_verify_gpr1, {"p": "2..6", "r": "1..p"}),
+        ("support", cmd_verify_support, None),
+        ("reg-indmatch", cmd_verify_reg_indmatch, None),
+    ):
+        p = scopes.add_parser(scope, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if ranges:
+            for flag, default in ranges.items():
+                p.add_argument(f"--{flag}", default=default, help="range (default %(default)s)")
+            continue
+        add_input(p)
+        p.add_argument("--trees-upto", type=int, metavar="N")
+        p.add_argument("--all-chordal-upto", type=int, metavar="N")
+        p.add_argument("--random", type=int, metavar="COUNT")
+        p.add_argument("--max-n", type=int, help="max order for --random (default 8)")
+        p.add_argument("--seed", type=int, help="seed for --random (default 0)")
     return parser
 
 
-_VERIFY_RANGE_DEFAULTS = {
-    "grb": {"r": "2..4", "b": "2..r"},
-    "gpr1": {"p": "2..6", "r": "1..p"},
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        for key, value in _VERIFY_RANGE_DEFAULTS.get(args.scope, {}).items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -121,7 +121,7 @@ def parse_family_spec(spec: str) -> Graph:
     if not sep:
         raise ValueError("family spec must look like name:p1,p2")
     try:
-        params = [int(t) for t in rest.split(",") if t != ""]
+        params = [int(t) for t in rest.split(",")]
     except ValueError:
         raise ValueError(f"bad family parameters in {spec!r}") from None
     return build_family(name, params)

@@ -41,9 +41,14 @@ class InvariantError(RuntimeError):
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Moduli must lie below this bound, under which Miller-Rabin with the bases
+# above is deterministic: the least composite that passes all twelve is
+# 318665857834031151167461 > 2^78 (Sorenson and Webster 2017).
+_MODULUS_BOUND = 1 << 64
+
 
 def _is_prime(m: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond any sane modulus
+    # deterministic Miller-Rabin for m < _MODULUS_BOUND
     if m < 2:
         return False
     for q in _MR_WITNESSES:
@@ -69,12 +74,14 @@ def _is_prime(m: int) -> bool:
 class FieldSpec:
     """Coefficient field for homology: exact rationals, or GF(p).
 
-    ``p`` is None for the rationals, a prime for GF(p).
+    ``p`` is None for the rationals, a prime below 2^64 for GF(p).
     """
 
     p: int | None = None
 
     def __post_init__(self) -> None:
+        if self.p is not None and self.p >= _MODULUS_BOUND:
+            raise ValueError(f"modulus {self.p} must be below 2^64")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 

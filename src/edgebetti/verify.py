@@ -11,10 +11,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .analysis import extremal_positions, projective_dimension, regularity
-from .betti import betti_table
+from .analysis import extremal_positions, regularity
+from .betti import BettiTable, betti_table
 from .bouquets import certified_positions, find_certificate
-from .families import g_pr1, g_rb
+from .families import FAMILY_BUILDERS
 from .graphs import Graph, induced_matching_number, is_chordal, is_connected
 
 MAX_ORACLE_VERTICES = 13
@@ -73,46 +73,47 @@ def _is_tree(g: Graph) -> bool:
     return is_connected(g) and g.num_edges() == g.n - 1
 
 
-def check_grb_params(r: int, b: int) -> None:
-    """Raise ValueError unless ``verify_grb(r, b)`` accepts (r, b)."""
-    if not 2 <= b <= r:
-        raise ValueError(f"need 2 <= b <= r, got r={r}, b={b}")
-    if 2 * r + b > MAX_ORACLE_VERTICES:
-        raise ValueError(f"2r+b = {2 * r + b} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
+def oracle_member(family: str, *params: int) -> Graph:
+    """The *family* member with *params*, refused before it is built when its
+    order exceeds ``MAX_ORACLE_VERTICES``; the builder checks the family's
+    own parameter rule."""
+    builder, _, order = FAMILY_BUILDERS[family]
+    n = order(*params)
+    if n > MAX_ORACLE_VERTICES:
+        spec = f"{family}:{','.join(map(str, params))}"
+        raise ValueError(f"{spec} has {n} > {MAX_ORACLE_VERTICES} vertices")
+    return builder(*params)
 
 
-def check_gpr1_params(p: int, r: int) -> None:
-    """Raise ValueError unless ``verify_gpr1(p, r)`` accepts (p, r)."""
-    if not 1 <= r < p:
-        raise ValueError(f"need 1 <= r < p, got p={p}, r={r}")
-    if p + r > MAX_ORACLE_VERTICES:
-        raise ValueError(f"p+r = {p + r} exceeds the {MAX_ORACLE_VERTICES}-vertex cap")
+def _corner_facts(g: Graph) -> tuple[BettiTable, dict]:
+    """The Betti table of *g*, and the facts both family checks share:
+    chordality, regularity, projective dimension, corner count and corner
+    positions."""
+    table = betti_table(g)
+    report = extremal_positions(table)
+    return table, {
+        "chordal": is_chordal(g),
+        "regularity": report.regularity,
+        "projective_dimension": report.projective_dimension,
+        "extremal_count": report.count,
+        "extremal_positions": [[i, j] for i, j, _ in report.positions],
+    }
 
 
 def verify_grb(r: int, b: int) -> VerificationReport:
     """Hub-cascade family on 2r+b vertices: regularity r, projective
     dimension 2r+b-1, exactly b extremal entries at the predicted
     positions, and the predicted vanishing rectangle actually zero."""
-    check_grb_params(r, b)
     t0 = time.perf_counter()
-    g = g_rb(r, b)
-    table = betti_table(g)
-    report = extremal_positions(table)
-    positions = [[r + b + i - 1, r - i + 1] for i in range(1, b)] + [[2 * r + b - 1, 1]]
-    rect_zero = all(
+    g = oracle_member("grb", r, b)
+    table, computed = _corner_facts(g)
+    computed["induced_matching_number"] = induced_matching_number(g)
+    computed["vanishing_rectangle"] = all(
         table.get(r + 2 * b - 2 + i, j) == 0
         for i in range(1, r - b + 1)
         for j in range(2, r - b - i + 3)
     )
-    computed = {
-        "chordal": is_chordal(g),
-        "induced_matching_number": induced_matching_number(g),
-        "regularity": regularity(table),
-        "projective_dimension": projective_dimension(table),
-        "extremal_count": report.count,
-        "extremal_positions": sorted([i, j] for i, j, _ in report.positions),
-        "vanishing_rectangle": rect_zero,
-    }
+    positions = [[r + b + i - 1, r - i + 1] for i in range(1, b)] + [[2 * r + b - 1, 1]]
     expected = {
         "chordal": True,
         "induced_matching_number": r,
@@ -150,20 +151,11 @@ def verify_gpr1(p: int, r: int) -> VerificationReport:
 
     p = r+1 is the path star, the b = 1 member of the paper's family.
     """
-    check_gpr1_params(p, r)
     t0 = time.perf_counter()
-    g = g_pr1(p, r)
-    table = betti_table(g)
-    report = extremal_positions(table)
-    computed = {
-        "tree": _is_tree(g),
-        "chordal": is_chordal(g),
-        "regularity": regularity(table),
-        "projective_dimension": projective_dimension(table),
-        "extremal_count": report.count,
-        "extremal_positions": [[i, j] for i, j, _ in report.positions],
-        "certificate_at_corner": find_certificate(g, p, r) is not None,
-    }
+    g = oracle_member("gpr1", p, r)
+    _, computed = _corner_facts(g)
+    computed["tree"] = _is_tree(g)
+    computed["certificate_at_corner"] = find_certificate(g, p, r) is not None
     expected = {
         "tree": True,
         "chordal": True,

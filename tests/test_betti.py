@@ -244,6 +244,9 @@ def test_sweep_size_cap():
     big = new_graph(MAX_SWEEP_VERTICES + 1, [])
     with pytest.raises(ValueError, match="vertices"):
         betti_table(big)
+    # the single-cell sweep shares the guard
+    with pytest.raises(ValueError, match="vertices"):
+        betti_single(big, 1, 1)
 
 
 # --- single-position evaluation ----------------------------------------------

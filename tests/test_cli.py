@@ -196,13 +196,24 @@ def test_betti_rejects_malformed_json(text):
         ("gfp:4", "modulus 4 is not prime"),
         ("gfp:x", "unknown field 'gfp:x' (expected qq, gf2 or gfp:<p>)"),
         ("gfp:", "unknown field 'gfp:' (expected qq, gf2 or gfp:<p>)"),
+        (
+            "gfp:318665857834031151167461",
+            "modulus 318665857834031151167461 must be below 2^64",
+        ),
     ],
-    ids=["gfp:4", "gfp:x", "gfp:"],
+    ids=["gfp:4", "gfp:x", "gfp:", "gfp:pseudoprime"],
 )
 def test_betti_bad_field(capsys, token, message):
     code, out, err = run(capsys, "betti", "--family", "path-star:1", "--field", token)
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_betti_cell_size_capped(capsys):
+    # g_rb(7,3) has 17 vertices, one above the sweep cap that the table has
+    code, out, err = run(capsys, "betti", "--family", "grb:7,3", "--cell", "3", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: graph has 17 > 16 vertices"]
 
 
 def test_betti_needs_exactly_one_source(capsys, tmp_path):
@@ -323,6 +334,17 @@ def test_verify_support_all_chordal(capsys):
         pytest.param(
             ("reg-indmatch", "--random", "2", "--max-n", "0"), "at least 1", id="max-n-zero"
         ),
+        # the --random options mean nothing without it
+        pytest.param(
+            ("support", "--trees-upto", "5", "--max-n", "0"),
+            "--max-n needs --random",
+            id="max-n-without-random",
+        ),
+        pytest.param(
+            ("reg-indmatch", "--family", "path-star:1", "--seed", "3"),
+            "--seed needs --random",
+            id="seed-without-random",
+        ),
         # a malformed range names its flag and the accepted forms
         pytest.param(("grb", "--r", "x"), "--r takes N or A..B, got 'x'", id="grb-bad-range"),
         pytest.param(
@@ -338,6 +360,39 @@ def test_verify_rejects_enumeration_above_cap(capsys, argv, reason):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grb", "--trees-upto", "3"),
+        ("grb", "--family", "grb:2,2"),
+        ("grb", "FILE"),
+        ("gpr1", "--b", "7"),
+        ("support", "--family", "path-star:1", "--b", "2"),
+        ("reg-indmatch", "--family", "path-star:1", "--p", "3"),
+        # not a prefix of --random either: abbreviations are off
+        ("reg-indmatch", "--random", "2", "--r", "3"),
+    ],
+    ids=[
+        "grb-trees-upto",
+        "grb-family",
+        "grb-file",
+        "gpr1-b",
+        "support-b",
+        "reg-indmatch-p",
+        "reg-indmatch-r-prefix",
+    ],
+)
+def test_verify_rejects_flags_outside_scope(capsys, tmp_path, argv):
+    # Each scope parses only its own flags; another scope's flag is a usage
+    # error, never silently dropped.
+    f = tmp_path / "g.txt"
+    f.write_text("2 1\n0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *(str(f) if a == "FILE" else a for a in argv)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_reg_indmatch_random(capsys):

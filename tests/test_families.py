@@ -143,6 +143,6 @@ def test_build_family_dispatch():
 def test_parse_family_spec():
     assert parse_family_spec("grb:5,3") == g_rb(5, 3)
     assert parse_family_spec("star-triangle:2") == star_triangle(2)
-    for bad in ("grb", "grb:4", "grb:4,x", ":3"):
+    for bad in ("grb", "grb:4", "grb:4,x", ":3", "grb:", "grb:3,,2", "grb:,3,2", "grb:3,2,"):
         with pytest.raises(ValueError):
             parse_family_spec(bad)

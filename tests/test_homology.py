@@ -46,6 +46,11 @@ def test_fieldspec_requires_prime():
     with pytest.raises(ValueError):
         FieldSpec.gf(91)  # 7 * 13
     FieldSpec.gf(2147483647)  # Mersenne prime is fine
+    FieldSpec.gf(2**61 - 1)  # so is one just below the 2^64 bound
+    # 399165290221 * 798330580441: a strong pseudoprime to all twelve
+    # Miller-Rabin bases, refused by the bound
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        FieldSpec.gf(318665857834031151167461)
 
 
 def test_fieldspec_str():
