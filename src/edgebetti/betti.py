@@ -7,8 +7,9 @@ its edge ideal, Hochster's formula gives
 
 where Ind(G_W) is the independence complex of the induced subgraph on W.  The
 sweep over subsets skips any W whose induced subgraph has an isolated vertex:
-the complex is then a cone and contributes nothing.  The remaining subsets get
-an exact rank computation per boundary map.
+the complex is then a cone and contributes nothing.  Each remaining subset
+gets an exact rank computation per boundary map, relative to the cone of the
+faces that miss the neighbourhood of one vertex.
 
 Tables are sparse maps (i, j) -> beta_{i,i+j} with the unit entry (0,0) -> 1
 always present.  The alternating sum of a table is the numerator of the
@@ -29,6 +30,7 @@ from .homology import (
     FaceCache,
     FieldSpec,
     HomologyProfile,
+    cone_star,
     homology_dims_from_levels,
     independent_sets_by_card,
 )
@@ -75,34 +77,28 @@ class BettiTable:
         return {"n": self.n, "entries": ents}
 
 
-def _has_isolated_vertex(adj: Sequence[int], w: int) -> bool:
-    m = w
-    while m:
-        low = m & -m
-        m ^= low
-        if adj[low.bit_length() - 1] & w == 0:
-            return True
-    return False
-
-
 def _hochster_terms(
     adj: Sequence[int], masks: Iterable[int], p: int | None
 ) -> Iterator[tuple[int, HomologyProfile]]:
-    """(W, reduced homology dims of Ind(G_W)) for every W in *masks* whose
-    complex is not a cone; cones have no reduced homology and are skipped.
+    """(W, reduced homology dims of Ind(G_W)) for every nonempty W in *masks*
+    whose complex is not a cone; cones have no reduced homology and are
+    skipped.
 
     This is the only loop over vertex subsets: every sweep goes through it,
     and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
-    subset.  A face keeps its boundary row in every Ind(G_W) that holds it,
-    so the sweep builds each row once, in one `FaceCache` that ends with the
-    sweep.
+    subset.  Each complex is taken relative to the cone of the faces that
+    miss the `cone_star` of W.  A face keeps its boundary row in every
+    Ind(G_W) that holds it, so the sweep builds each row once, in one
+    `FaceCache` that ends with the sweep.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
     cache = FaceCache()
     for w in masks:
-        if not _has_isolated_vertex(adj, w):
-            yield w, homology_dims_from_levels(independent_sets_by_card(adj, w), p, cache)
+        star = cone_star(adj, w)
+        if star:
+            levels = independent_sets_by_card(adj, w)
+            yield w, homology_dims_from_levels(levels, p, cache, star)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

@@ -7,12 +7,16 @@ come from boundary-matrix ranks:
 
 with the reduced convention that d_0 maps every vertex to the empty face,
 so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
-reduced homology at all.  Ranks are exact: one online echelon loop over the
-rationals (plain ints while every pivot leads with +-1) or GF(p), and bitmask
-XOR elimination over GF(2), taken from the top level down with clearing (Chen
-and Kerber 2011): the row of a face that leads a reduced row of the map above
-is skipped.  A sweep builds each face's row once and keeps it in a
-`FaceCache` for every later complex that holds the face.
+reduced homology at all.  An independence complex Ind(G_W) is taken relative
+to a cone inside it: for a vertex v of W, the faces that miss N(v) form the
+cone K = v * Ind(G_{W - N[v]}), so ~H_k(Ind G_W) = H_k(Ind G_W, K) and only
+the faces that meet N(v) enter the matrices (Adamaszek 2012).  Ranks are
+exact: one online echelon loop over the rationals (plain ints while every
+pivot leads with +-1) or GF(p), and bitmask XOR elimination over GF(2), taken
+from the top level down with clearing (Chen and Kerber 2011): the row of a
+face that leads a reduced row of the map above is skipped.  A sweep builds
+each face's row once and keeps it in a `FaceCache` for every later complex
+that holds the face.
 """
 
 from __future__ import annotations
@@ -98,7 +102,12 @@ class FieldSpec:
         if t == "gf2":
             return cls(2)
         if t.startswith("gfp:") and t[4:].isdecimal():
-            return cls(int(t[4:]))
+            # 2^64 has 20 digits: refuse longer moduli before int() does,
+            # with its own message, past 4300 digits
+            digits = t[4:].lstrip("0") or "0"
+            if len(digits) > 20:
+                raise ValueError(f"modulus {digits} must be below 2^64")
+            return cls(int(digits))
         raise ValueError(f"unknown field {text!r} (expected qq, gf2 or gfp:<p>)")
 
     def __str__(self) -> str:
@@ -132,16 +141,40 @@ def independent_sets_by_card(adj: Sequence[int], vmask: int) -> list[list[int]]:
     return levels
 
 
+def cone_star(adj: Sequence[int], w: int) -> int:
+    """N(v) & W for the lowest vertex v of least degree in G_W, or 0 when W
+    is empty or has an isolated vertex (then Ind(G_W) is a cone).
+
+    The faces of Ind(G_W) that miss this set form the cone
+    v * Ind(G_{W - N[v]}); the least degree leaves the fewest faces outside.
+    """
+    star = 0
+    least = w.bit_count()
+    m = w
+    while m:
+        low = m & -m
+        m ^= low
+        nbrs = adj[low.bit_length() - 1] & w
+        if not nbrs:
+            return 0
+        d = nbrs.bit_count()
+        if d < least:
+            star, least = nbrs, d
+    return star
+
+
 class FaceCache:
     """Boundary rows of the faces one sweep has met, each built once.
 
     The boundary of a face does not depend on the complex it lies in, so one
     sweep over the subsets of a graph keeps one cache for its one field and
-    drops it when the sweep ends.  Over QQ and GF(p) a row is a dict keyed by
-    the face masks of the facets, with alternating signs.  Over GF(2) a row
-    is a bitmask over column ids: ``ids[c]`` numbers the c-vertex faces in
-    the order they are first met, so the row of a c-vertex face is as wide
-    as the number of (c-1)-vertex faces the sweep has met, not 2^n bits.
+    drops it when the sweep ends.  A cached row is always the whole boundary;
+    a relative complex takes its one facet out of the row where it is used,
+    never in the cache.  Over QQ and GF(p) a row is a dict keyed by the face
+    masks of the facets, with alternating signs.  Over GF(2) a row is a
+    bitmask over column ids: ``ids[c]`` numbers the c-vertex faces in the
+    order they are first met, so the row of a c-vertex face is as wide as the
+    number of (c-1)-vertex faces the sweep has met, not 2^n bits.
     """
 
     __slots__ = ("rows", "ids")
@@ -152,7 +185,10 @@ class FaceCache:
 
 
 def homology_dims_from_levels(
-    levels: list[list[int]], p: int | None, cache: FaceCache | None = None
+    levels: list[list[int]],
+    p: int | None,
+    cache: FaceCache | None = None,
+    star: int | None = None,
 ) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
@@ -161,11 +197,24 @@ def homology_dims_from_levels(
     *p* is None, GF(p) otherwise.  Each face's boundary row is taken from
     *cache* and built only when the cache has not met the face before; a
     cache must serve one field only.  Without one, a fresh cache is used.
+
+    With *star* = N(v) & W from `cone_star`, the levels must be those of
+    Ind(G_W), and the dimensions are taken relative to the cone K of the faces
+    that miss *star*: only the faces that meet it are kept, and a face that
+    meets it in one vertex x loses its facet F - x, a face of K.  Since K is
+    contractible the dimensions are those of the whole complex.  With *star*
+    None every face is kept, for any complex.
     """
     if cache is None:
         cache = FaceCache()
     rows, ids = cache.rows, cache.ids
+    # The whole complex keeps every face (meet = -1) and every facet, the
+    # empty face of a vertex too.
+    relative = star is not None
+    meet = star if relative else -1
     top = len(levels) - 1
+    # kept[c] = number of c-vertex faces kept; the empty face misses any star
+    kept = [0 if relative else len(levels[0])] + [0] * top
     # rank_out[c] = rank of the boundary map from the c-vertex faces down
     rank_out = [0] * (top + 2)
     # A face that leads a reduced row z of the map above is a face of the
@@ -174,10 +223,15 @@ def homology_dims_from_levels(
     # Leads are face masks over QQ and GF(p), column ids over GF(2).
     cleared: set[int] = set()
     for c in range(top, 0, -1):
+        n = 0
         if p == 2:
             masks = []
             face_ids, col_ids = ids[c], ids[c - 1]
             for face in levels[c]:
+                x = face & meet
+                if not x:
+                    continue
+                n += 1
                 if face_ids.get(face) in cleared:
                     continue
                 row = rows.get(face)
@@ -192,11 +246,17 @@ def homology_dims_from_levels(
                             col = col_ids[face ^ low] = len(col_ids)
                         row |= 1 << col
                     rows[face] = row
+                if relative and x & (x - 1) == 0:
+                    row &= ~(1 << col_ids[face ^ x])
                 masks.append(row)
             leads = rank_gf2(masks)
         else:
             matrix = []
             for face in levels[c]:
+                x = face & meet
+                if not x:
+                    continue
+                n += 1
                 if face in cleared:
                     continue
                 row = rows.get(face)
@@ -210,18 +270,22 @@ def homology_dims_from_levels(
                         row[face ^ low] = sign
                         sign = -sign
                     rows[face] = row
+                if relative and x & (x - 1) == 0:
+                    row = dict(row)
+                    del row[face ^ x]
                 matrix.append(row)
             leads = matrix_rank(matrix, p)
+        kept[c] = n
         rank_out[c] = len(leads)
         cleared = set(leads)
     dims: HomologyProfile = {}
     for k in range(-1, top):
-        d = len(levels[k + 1]) - rank_out[k + 1] - rank_out[k + 2]
+        d = kept[k + 1] - rank_out[k + 1] - rank_out[k + 2]
         if d < 0:
             raise InvariantError(f"negative homology dimension at k={k}")
         dims[k] = d
     # reduced Euler characteristic must match the face counts
-    euler_faces = sum((-1) ** c * len(levels[c]) for c in range(top + 1))
+    euler_faces = sum((-1) ** c * kept[c] for c in range(top + 1))
     euler_homology = sum((-1) ** (k + 1) * d for k, d in dims.items())
     if euler_faces != euler_homology:
         raise InvariantError("Euler characteristic mismatch")
@@ -236,4 +300,7 @@ def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyP
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
-    return homology_dims_from_levels(independent_sets_by_card(g.adj, g.vertices_mask()), field.p)
+    w = g.vertices_mask()
+    # a cone, or the empty graph's {emptyset}, is taken whole
+    star = cone_star(g.adj, w) or None
+    return homology_dims_from_levels(independent_sets_by_card(g.adj, w), field.p, None, star)

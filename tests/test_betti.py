@@ -11,7 +11,6 @@ from edgebetti import linalg
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
-    _has_isolated_vertex,
     _hochster_terms,
     betti_single,
     betti_table,
@@ -20,7 +19,12 @@ from edgebetti.betti import (
 )
 from edgebetti.families import g_pr1
 from edgebetti.graphs import is_chordal, is_connected, new_graph
-from edgebetti.homology import FieldSpec, homology_dims_from_levels, independent_sets_by_card
+from edgebetti.homology import (
+    FieldSpec,
+    cone_star,
+    homology_dims_from_levels,
+    independent_sets_by_card,
+)
 
 from oracles import naive_betti_table
 
@@ -230,7 +234,7 @@ def test_sweeps_in_turn_equal_fresh_calls():
         fresh = [
             (w, homology_dims_from_levels(independent_sets_by_card(adj, w), p))
             for w in masks
-            if not _has_isolated_vertex(adj, w)
+            if cone_star(adj, w)
         ]
         assert list(_hochster_terms(adj, masks, p)) == fresh, p
 

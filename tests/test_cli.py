@@ -200,8 +200,10 @@ def test_betti_rejects_malformed_json(text):
             "gfp:318665857834031151167461",
             "modulus 318665857834031151167461 must be below 2^64",
         ),
+        # past int()'s 4300-digit limit
+        ("gfp:" + "9" * 5000, "modulus " + "9" * 5000 + " must be below 2^64"),
     ],
-    ids=["gfp:4", "gfp:x", "gfp:", "gfp:pseudoprime"],
+    ids=["gfp:4", "gfp:x", "gfp:", "gfp:pseudoprime", "gfp:huge"],
 )
 def test_betti_bad_field(capsys, token, message):
     code, out, err = run(capsys, "betti", "--family", "path-star:1", "--field", token)

@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from edgebetti import homology, linalg
-from edgebetti.betti import _has_isolated_vertex
 from edgebetti.enumeration import all_chordal_graphs
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     MAX_SWEEP_VERTICES,
     FaceCache,
     FieldSpec,
+    cone_star,
     homology_dims_from_levels,
     independent_sets_by_card,
     reduced_homology_dims,
@@ -36,6 +36,11 @@ def test_fieldspec_parse():
             FieldSpec.parse(bad)
     with pytest.raises(ValueError, match="not prime"):
         FieldSpec.parse("gfp:4")
+    # leading zeros do not count towards the 20-digit bound; 5000 digits
+    # are refused before int() meets its own limit
+    assert FieldSpec.parse("gfp:" + "0" * 5000 + "7") == FieldSpec(7)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        FieldSpec.parse("gfp:" + "9" * 5000)
 
 
 def test_fieldspec_requires_prime():
@@ -78,6 +83,19 @@ def test_independent_sets_match_oracle():
         got = {m for level in levels for m in level}
         expected = {mask_of(s) for s in independent_subsets(g, frozenset(range(n)))}
         assert got == expected
+
+
+def test_cone_star():
+    # path 0-1-2-3 plus the pendant edge 1-4
+    g = new_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    # vertices 0, 3 and 4 have one neighbour each: the lowest, 0, is taken
+    assert cone_star(g.adj, 0b11111) == 0b00010
+    # in W = {1, 2, 3, 4} vertices 3 and 4 have one neighbour each (2 and 1),
+    # vertices 1 and 2 two: vertex 3 is taken
+    assert cone_star(g.adj, 0b11110) == 0b00100
+    # vertex 3 is isolated in W = {0, 1, 3}, and W = {} has no vertex
+    assert cone_star(g.adj, 0b01011) == 0
+    assert cone_star(g.adj, 0) == 0
 
 
 def test_independence_complex_small():
@@ -206,12 +224,26 @@ def _induced(adj, w):
     return tuple(sum(1 << pos[u] for u in iter_bits(adj[v] & w)) for v in pos)
 
 
-def _full_rank(levels, c, p):
-    """Rank of the boundary map from the c-vertex faces, every row built."""
-    index = {m: t for t, m in enumerate(levels[c - 1])}
+def _full_rank(levels, c, p, star=None):
+    """Rank of the boundary map from the c-vertex faces, every row built.
+
+    With a *star*, of the map relative to the faces that miss it: the rows
+    and columns are the faces that meet it, and a facet that misses it is
+    left out of its row.
+    """
+    below, faces = (
+        (levels[c - 1], levels[c])
+        if star is None
+        else ([m for m in levels[d] if m & star] for d in (c - 1, c))
+    )
+    index = {m: t for t, m in enumerate(below)}
     rows = [
-        {index[f ^ (1 << v)]: (-1) ** k for k, v in enumerate(iter_bits(f))}
-        for f in levels[c]
+        {
+            index[f ^ (1 << v)]: (-1) ** k
+            for k, v in enumerate(iter_bits(f))
+            if f ^ (1 << v) in index
+        }
+        for f in faces
     ]
     return len(linalg.matrix_rank(rows, p))
 
@@ -226,6 +258,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # every source graph runs its non-cone subsets again in mask order
     # through one shared face cache per field, as a Hochster sweep does, so
     # that a row cached under one complex must also be right in the next.
+    # Each subset of the sweeps is taken whole and relative to the cone of
+    # its `cone_star`, through the same cache: the relative ranks must equal
+    # those of the relative matrix, level by level, and the dimensions must
+    # equal the whole complex's.
     graphs = set()
     rng = random.Random(12)
     randoms = []
@@ -238,7 +274,7 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
         subsets = [
             (w, _induced(g.adj, w))
             for w in range(1, 1 << g.n)
-            if not _has_isolated_vertex(g.adj, w)
+            if cone_star(g.adj, w)
         ]
         sweeps.append((g.adj, subsets))
         graphs.update(induced for _, induced in subsets)
@@ -258,31 +294,40 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
     monkeypatch.setattr(homology, "rank_gf2", recorded(linalg.rank_gf2))
 
-    def check(levels, p, cache, full, where):
+    def check(levels, p, cache, full, where, star=None):
         calls.clear()
-        homology_dims_from_levels(levels, p, cache)
+        dims = homology_dims_from_levels(levels, p, cache, star)
         top = len(levels) - 1
         assert len(calls) == top, where
         above = 0
         for c, (rows, rank), want in zip(range(top, 0, -1), calls, full):
-            assert rows == len(levels[c]) - above, (where, c)
+            kept = len(levels[c]) if star is None else sum(1 for f in levels[c] if f & star)
+            assert rows == kept - above, (where, c)
             assert rank == want, (where, c)
             above = rank
+        return dims
 
     fields = (None, 2, 3)
-    full = {}
+    full, relative = {}, {}
     for adj in sorted(graphs):
-        levels = independent_sets_by_card(adj, (1 << len(adj)) - 1)
+        everything = (1 << len(adj)) - 1
+        levels = independent_sets_by_card(adj, everything)
+        star = cone_star(adj, everything)
         for p in fields:
-            full[adj, p] = [_full_rank(levels, c, p) for c in range(len(levels) - 1, 0, -1)]
+            tops = range(len(levels) - 1, 0, -1)
+            full[adj, p] = [_full_rank(levels, c, p) for c in tops]
+            relative[adj, p] = [_full_rank(levels, c, p, star) for c in tops]
             check(levels, p, None, full[adj, p], (adj, p))
     assert len(graphs) > 1500
     for adj, subsets in sweeps:
         caches = {p: FaceCache() for p in fields}
         for w, induced in subsets:
             levels = independent_sets_by_card(adj, w)
+            star = cone_star(adj, w)
             for p, cache in caches.items():
-                check(levels, p, cache, full[induced, p], (adj, w, p))
+                whole = check(levels, p, cache, full[induced, p], (adj, w, p))
+                where = (adj, w, p, star)
+                assert check(levels, p, cache, relative[induced, p], where, star) == whole, where
     assert sum(len(subsets) for _, subsets in sweeps) > 25_000
 
 
