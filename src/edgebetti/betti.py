@@ -32,6 +32,7 @@ from .homology import (
     HomologyProfile,
     cone_star,
     homology_dims_from_levels,
+    independence_numbers,
     independent_sets_by_card,
 )
 
@@ -87,17 +88,23 @@ def _hochster_terms(
     This is the only loop over vertex subsets: every sweep goes through it,
     and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
     subset.  Each complex is taken relative to the cone of the faces that
-    miss the `cone_star` of W.  A face keeps its boundary row in every
-    Ind(G_W) that holds it, so the sweep builds each row once, in one
-    `FaceCache` that ends with the sweep.
+    miss the `cone_star` of W, and only the faces that meet it are listed.
+    The levels are padded with empty ones up to alpha(G_W), read from one
+    `independence_numbers` table per sweep, so that the dims stay dense on
+    -1 .. dim Ind(G_W) and each level still gets its one rank call.  A face
+    keeps its boundary row in every Ind(G_W) that holds it, so the sweep
+    builds each row once, in one `FaceCache` that ends with the sweep.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
     cache = FaceCache()
+    alpha = independence_numbers(adj)
     for w in masks:
         star = cone_star(adj, w)
         if star:
-            levels = independent_sets_by_card(adj, w)
+            levels = independent_sets_by_card(adj, w, star)
+            while len(levels) <= alpha[w]:
+                levels.append([])
             yield w, homology_dims_from_levels(levels, p, cache, star)
 
 

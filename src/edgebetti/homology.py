@@ -10,7 +10,9 @@ so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
 reduced homology at all.  An independence complex Ind(G_W) is taken relative
 to a cone inside it: for a vertex v of W, the faces that miss N(v) form the
 cone K = v * Ind(G_{W - N[v]}), so ~H_k(Ind G_W) = H_k(Ind G_W, K) and only
-the faces that meet N(v) enter the matrices (Adamaszek 2012).  Ranks are
+the faces that meet N(v) are listed and enter the matrices (Adamaszek 2012);
+the levels still run up to alpha(G_W), the largest face of the whole
+complex, so the dimensions stay dense on -1 .. dim Ind(G_W).  Ranks are
 exact: one online echelon loop over the rationals (plain ints while every
 pivot leads with +-1) or GF(p), and bitmask XOR elimination over GF(2), taken
 from the top level down with clearing (Chen and Kerber 2011): the row of a
@@ -114,31 +116,70 @@ class FieldSpec:
         return "QQ" if self.p is None else f"GF({self.p})"
 
 
-def independent_sets_by_card(adj: Sequence[int], vmask: int) -> list[list[int]]:
-    """Independent subsets of *vmask*, grouped by cardinality.
+def independent_sets_by_card(
+    adj: Sequence[int], vmask: int, star: int | None = None
+) -> list[list[int]]:
+    """Independent subsets of *vmask* that meet *star*, grouped by cardinality.
 
     ``adj`` is the ambient adjacency bitset list; masks keep ambient vertex
-    numbering.  Level c lists the c-vertex sets in a fixed deterministic
-    order (lexicographic by increasing vertex list).
+    numbering.  Level c lists the kept c-vertex sets in a fixed deterministic
+    order (lexicographic by increasing vertex list), so a kept face comes in
+    the order the whole listing gives it.  Level 0 is always ``[0]``; the
+    levels end at the largest kept face.  *star* defaults to *vmask*, which
+    keeps every face.  While a partial face misses *star* the search only
+    goes on while a star vertex is still available; once it meets *star*
+    every extension is listed.
     """
+    if star is None:
+        star = vmask
     levels: list[list[int]] = [[] for _ in range(vmask.bit_count() + 1)]
     levels[0].append(0)
 
     def rec(mask: int, size: int, avail: int) -> None:
+        # mask meets star: list every extension
         while avail:
             low = avail & -avail
             avail ^= low
-            v = low.bit_length() - 1
             sub = mask | low
             levels[size + 1].append(sub)
-            rest = avail & ~adj[v]
+            rest = avail & ~adj[low.bit_length() - 1]
             if rest:
                 rec(sub, size + 1, rest)
 
-    rec(0, 0, vmask)
+    def seek(mask: int, size: int, avail: int) -> None:
+        # mask misses star: descend only while a star vertex is available
+        while avail & star:
+            low = avail & -avail
+            avail ^= low
+            sub = mask | low
+            rest = avail & ~adj[low.bit_length() - 1]
+            if low & star:
+                levels[size + 1].append(sub)
+                if rest:
+                    rec(sub, size + 1, rest)
+            elif rest & star:
+                seek(sub, size + 1, rest)
+
+    seek(0, 0, vmask)
     while len(levels) > 1 and not levels[-1]:
         levels.pop()
     return levels
+
+
+def independence_numbers(adj: Sequence[int]) -> list[int]:
+    """alpha(G_W) for every vertex mask W of the graph with adjacency *adj*.
+
+    Doubles the table once per vertex u: a mask m | u, with m below u, either
+    leaves u out or takes u with an independent set of m - N(u), so
+    alpha(m | u) = max(alpha(m), 1 + alpha(m - N(u))).  Since m - N(u) lies
+    in m, the second term wins just when alpha(m - N(u)) = alpha(m), which
+    the comparison below tests without calling max.
+    """
+    alpha = [0]
+    for u in range(len(adj)):
+        keep = ~adj[u] & ((1 << u) - 1)
+        alpha += [a if alpha[m & keep] < a else a + 1 for m, a in enumerate(alpha)]
+    return alpha
 
 
 def cone_star(adj: Sequence[int], w: int) -> int:
@@ -296,11 +337,20 @@ def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyP
     """Reduced homology dimensions of the independence complex Ind(*g*) over
     *field*, as k -> dim ~H_k.
 
-    The map is dense on -1 .. dim Ind(g); every other degree is zero.
+    The map is dense on -1 .. dim Ind(g); every other degree is zero.  A
+    cone, and the empty graph's {emptyset}, is listed and taken whole; any
+    other Ind(g) lists only the faces that meet its `cone_star`, padded with
+    empty levels up to alpha(g), as a Hochster sweep does.
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
     w = g.vertices_mask()
-    # a cone, or the empty graph's {emptyset}, is taken whole
-    star = cone_star(g.adj, w) or None
-    return homology_dims_from_levels(independent_sets_by_card(g.adj, w), field.p, None, star)
+    star = cone_star(g.adj, w)
+    if not star:
+        # a cone, or the empty graph's {emptyset}, is taken whole
+        return homology_dims_from_levels(independent_sets_by_card(g.adj, w), field.p)
+    levels = independent_sets_by_card(g.adj, w, star)
+    top = independence_numbers(g.adj)[w]
+    while len(levels) <= top:
+        levels.append([])
+    return homology_dims_from_levels(levels, field.p, None, star)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgebetti import linalg
+from edgebetti import betti, homology, linalg
 from edgebetti.betti import (
     MAX_SWEEP_VERTICES,
     BettiTable,
@@ -17,7 +17,7 @@ from edgebetti.betti import (
     hilbert_numerator,
     k_polynomial,
 )
-from edgebetti.families import g_pr1
+from edgebetti.families import g_pr1, g_rb
 from edgebetti.graphs import is_chordal, is_connected, new_graph
 from edgebetti.homology import (
     FieldSpec,
@@ -223,6 +223,29 @@ SWEEP_GRAPH_TABLE = {
 @pytest.mark.parametrize("p", [None, 2, 3])
 def test_golden_table_of_a_non_chordal_13_vertex_graph(p):
     assert betti_table(_seeded_sweep_graph(), FieldSpec(p)).entries == SWEEP_GRAPH_TABLE
+
+
+def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
+    # The benchmark's self-test reads these counts from its traced passes;
+    # the same pin here runs on every interpreter the suite runs on.
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        betti, "independent_sets_by_card", counted("listings", independent_sets_by_card)
+    )
+    monkeypatch.setattr(homology, "matrix_rank", counted("ranks", linalg.matrix_rank))
+    monkeypatch.setattr(homology, "rank_gf2", counted("ranks", linalg.rank_gf2))
+    for p in (None, 2, 3):
+        counts.update(listings=0, ranks=0)
+        betti_table(g_rb(5, 3), FieldSpec(p))
+        assert counts == {"listings": 4422, "ranks": 16948}, p
 
 
 def test_sweeps_in_turn_equal_fresh_calls():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgebetti import homology, linalg
+from edgebetti import betti, homology, linalg
 from edgebetti.enumeration import all_chordal_graphs
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
@@ -17,6 +17,7 @@ from edgebetti.homology import (
     FieldSpec,
     cone_star,
     homology_dims_from_levels,
+    independence_numbers,
     independent_sets_by_card,
     reduced_homology_dims,
 )
@@ -70,6 +71,9 @@ def test_independent_sets_by_card_path():
     # restricted to a sub-mask the ambient numbering is kept
     levels = independent_sets_by_card(g.adj, 0b110)
     assert levels == [[0], [0b010, 0b100]]
+    # only the faces that meet the star; the levels end at the largest one
+    assert independent_sets_by_card(g.adj, 0b111, 0b100) == [[0], [0b100], [0b101]]
+    assert independent_sets_by_card(g.adj, 0b111, 0b010) == [[0], [0b010]]
 
 
 def test_independent_sets_match_oracle():
@@ -131,6 +135,11 @@ def test_homology_point_and_simplex():
 
 def test_homology_two_points():
     assert reduced_homology_dims(new_graph(2, [(0, 1)])) == {-1: 0, 0: 1}
+    # Ind(K_{1,3}) is a point and a solid triangle.  Its cone star is the
+    # centre, which no face of the triangle meets, and the dims still run
+    # up to dim 2.
+    claw = new_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert reduced_homology_dims(claw) == {-1: 0, 0: 1, 1: 0, 2: 0}
 
 
 def test_homology_octahedron_and_cones():
@@ -248,6 +257,47 @@ def _full_rank(levels, c, p, star=None):
     return len(linalg.matrix_rank(rows, p))
 
 
+def _oracle_source_graphs():
+    """Every chordal graph up to 7 vertices, then 40 random graphs on 4 to 9
+    vertices (seed 12)."""
+    rng = random.Random(12)
+    randoms = []
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        randoms.append(new_graph(n, edges))
+    return [h for n in range(1, 8) for h in all_chordal_graphs(n)] + randoms
+
+
+def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
+    # A sweep lists, for each non-cone W, only the faces that meet its cone
+    # star, in the order of the whole listing, and pads the levels up to
+    # alpha(G_W) so that the level count, and with it the rank calls and the
+    # dense dims, stay those of the whole complex.  The levels are read where
+    # the sweep hands them on.
+    handed = []
+    monkeypatch.setattr(
+        betti,
+        "homology_dims_from_levels",
+        lambda levels, p, cache, star: handed.append((levels, star)) or {},
+    )
+    subsets = 0
+    for g in _oracle_source_graphs():
+        adj = tuple(g.adj)
+        alpha = independence_numbers(adj)
+        whole = [independent_sets_by_card(adj, w) for w in range(1 << g.n)]
+        assert alpha == [len(levels) - 1 for levels in whole]
+        handed.clear()
+        swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
+        assert len(swept) == len(handed)
+        for w, (levels, star) in zip(swept, handed):
+            assert star == cone_star(adj, w)
+            assert len(levels) == len(whole[w]), (adj, w)
+            assert levels == [[0]] + [[f for f in level if f & star] for level in whole[w][1:]]
+        subsets += len(swept)
+    assert subsets > 25_000
+
+
 def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # Clearing skips the rows of faces that lead the map above.  A rank that
     # came out too low at one level would raise two adjacent dimensions and
@@ -263,14 +313,8 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # those of the relative matrix, level by level, and the dimensions must
     # equal the whole complex's.
     graphs = set()
-    rng = random.Random(12)
-    randoms = []
-    for _ in range(40):
-        n = rng.randint(4, 9)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        randoms.append(new_graph(n, edges))
     sweeps = []  # per source graph: its non-cone subsets W in mask order, with G_W
-    for g in [h for n in range(1, 8) for h in all_chordal_graphs(n)] + randoms:
+    for g in _oracle_source_graphs():
         subsets = [
             (w, _induced(g.adj, w))
             for w in range(1, 1 << g.n)
