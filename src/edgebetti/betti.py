@@ -14,7 +14,8 @@ faces that miss the neighbourhood of one vertex.
 Tables are sparse maps (i, j) -> beta_{i,i+j} with the unit entry (0,0) -> 1
 always present.  The alternating sum of a table is the numerator of the
 Hilbert series of S/I(G), which `hilbert_numerator` recomputes independently
-from independent-set counts; the two must agree for every graph.
+from independent-set counts; `betti_table` raises `InvariantError` when the
+two disagree.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .homology import (
     FaceCache,
     FieldSpec,
     HomologyProfile,
+    InvariantError,
     cone_star,
     homology_dims_from_levels,
     independence_numbers,
@@ -124,7 +126,12 @@ def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> Bett
             if d:
                 key = (size - k - 1, k + 1)
                 cells[key] = cells.get(key, 0) + d
-    return BettiTable(g.n, cells)
+    table = BettiTable(g.n, cells)
+    # The ranks cancel from this identity (each dim is f - r - r), but the
+    # face counts do not: a face missing from a listing breaks it.
+    if k_polynomial(table) != hilbert_numerator(g):
+        raise InvariantError("alternating sum of the table != Hilbert numerator")
+    return table
 
 
 def betti_single(

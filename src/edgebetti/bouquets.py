@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, is_chordal, is_induced_matching, iter_bits, mask_of
+from .graphs import Graph, induced_matchings, is_chordal, is_induced_matching, iter_bits, mask_of
 from .homology import InvariantError
 
 MAX_SEARCH_VERTICES = 16
@@ -107,42 +107,13 @@ def validate_bouquet_set(g: Graph, cert: Certificate) -> bool:
     return is_induced_matching(g, cert.representatives)
 
 
-def _induced_matchings(
-    edges: list[Edge], closed: list[int], exact: int | None
-) -> Iterator[tuple[Edge, ...]]:
-    """Induced matchings among *edges*, in lexicographic edge-list order.
-
-    With *exact* set, only matchings of that size are yielded; otherwise
-    every nonempty one is.  ``closed`` holds closed neighborhood masks.
-    """
-    chosen: list[Edge] = []
-
-    def rec(start: int, blocked: int) -> Iterator[tuple[Edge, ...]]:
-        if exact is not None and len(chosen) == exact:
-            yield tuple(chosen)
-            return
-        stop = len(edges) if exact is None else len(edges) - (exact - len(chosen)) + 1
-        for idx in range(start, stop):
-            u, v = edges[idx]
-            if blocked & (1 << u | 1 << v):
-                continue
-            chosen.append(edges[idx])
-            if exact is None:
-                yield tuple(chosen)
-            yield from rec(idx + 1, blocked | closed[u] | closed[v])
-            chosen.pop()
-
-    yield from rec(0, 0)
-
-
 def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
     """(matching, roots, attachable) for each induced matching (of size
     *exact*, or every nonempty one, in lexicographic edge-list order) and
     each choice of one root per edge, smaller endpoints first; attachable
     lists the vertices outside the matching adjacent to some root.
     """
-    closed = [g.adj[v] | 1 << v for v in range(g.n)]
-    for matching in _induced_matchings(g.edges(), closed, exact):
+    for matching in induced_matchings(g, exact):
         vm = mask_of(w for e in matching for w in e)
         for pattern in range(1 << len(matching)):
             # bit k clear: root of edge k is its smaller endpoint
@@ -196,7 +167,7 @@ def certified_positions(g: Graph) -> set[tuple[int, int]]:
     """
     if g.n > MAX_PREDICT_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_PREDICT_VERTICES} vertices")
-    if g.n and not is_chordal(g):
+    if not is_chordal(g):
         warnings.warn(
             "graph is not chordal: certified positions list nonzero Betti "
             "positions but may miss some",

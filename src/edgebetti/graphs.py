@@ -124,112 +124,75 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Chordality via maximum cardinality search.
+    """Chordality by simplicial elimination (Dirac 1961).
 
-    MCS visits vertices by decreasing count of visited neighbors (ties go to
-    the lowest index, so the ordering is reproducible).  The reverse visit
-    order is a perfect elimination ordering iff the graph is chordal, which
-    the second pass verifies directly.
+    A vertex is simplicial when its neighbours form a clique.  The graph is
+    chordal iff deleting simplicial vertices one at a time empties it: every
+    nonempty chordal graph has a simplicial vertex and stays chordal when one
+    is deleted, while no vertex of an induced cycle of length >= 4 is ever
+    simplicial.  The lowest-index simplicial vertex goes first.
     """
-    n = g.n
-    if n <= 2:
-        return True
-    weight = [0] * n
-    visited = 0
-    order = []
-    for _ in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not visited >> v & 1 and weight[v] > best_w:
-                best_w = weight[v]
-                best = v
-        order.append(best)
-        visited |= 1 << best
-        for u in iter_bits(g.adj[best] & ~visited):
-            weight[u] += 1
-    elim = order[::-1]
-    pos = [0] * n
-    for i, v in enumerate(elim):
-        pos[v] = i
-    for i, v in enumerate(elim):
-        later = [u for u in iter_bits(g.adj[v]) if pos[u] > i]
-        if not later:
-            continue
-        parent = min(later, key=lambda u: pos[u])
-        rest = mask_of(later) & ~(1 << parent)
-        if rest & ~g.adj[parent]:
+    adj = g.adj
+    left = g.vertices_mask()
+    while left:
+        for v in iter_bits(left):
+            nb = adj[v] & left
+            if all(nb & ~adj[u] == 1 << u for u in iter_bits(nb)):
+                left ^= 1 << v
+                break
+        else:
             return False
     return True
 
 
-def _normalized_matching(g: Graph, m: Iterable[Edge]) -> list[Edge]:
-    edges = []
-    for u, v in m:
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge of the graph")
-        edges.append((min(u, v), max(u, v)))
-    return edges
+def induced_matchings(g: Graph, size: int | None = None) -> Iterator[tuple[Edge, ...]]:
+    """Induced matchings of g, in lexicographic order of `Graph.edges`.
+
+    With *size* set, only matchings of that size are yielded; otherwise
+    every nonempty one is.  Picking an edge (u,v) blocks N[u] | N[v], so
+    every edge picked later is disjoint from it and joined to it by no edge.
+    """
+    edges = g.edges()
+    closed = [g.adj[v] | 1 << v for v in range(g.n)]
+    chosen: list[Edge] = []
+
+    def rec(start: int, blocked: int) -> Iterator[tuple[Edge, ...]]:
+        if size is not None and len(chosen) == size:
+            yield tuple(chosen)
+            return
+        stop = len(edges) if size is None else len(edges) - (size - len(chosen)) + 1
+        for idx in range(start, stop):
+            u, v = edges[idx]
+            if blocked & (1 << u | 1 << v):
+                continue
+            chosen.append(edges[idx])
+            if size is None:
+                yield tuple(chosen)
+            yield from rec(idx + 1, blocked | closed[u] | closed[v])
+            chosen.pop()
+
+    yield from rec(0, 0)
 
 
 def is_induced_matching(g: Graph, m: Iterable[Edge]) -> bool:
-    """True iff *m* is a matching of g that no single edge of g meets twice.
+    """True iff the edges *m* are pairwise disjoint and joined by no edge of g.
 
-    Raises ValueError when *m* contains a non-edge; returns False when the
-    edges overlap or some edge of g touches two distinct members.
+    Raises ValueError when *m* contains a non-edge.  Otherwise *m* is an
+    induced matching iff its vertex set U has 2|m| vertices and g[U] has
+    exactly the |m| edges of *m*.
     """
-    edges = _normalized_matching(g, m)
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    used = 0
-    for em in masks:
-        if em & used:
-            return False
-        used |= em
-    for a, b in g.edges():
-        eab = (1 << a) | (1 << b)
-        touched = 0
-        for em in masks:
-            if em & eab:
-                touched += 1
-                if touched == 2:
-                    return False
-    return True
+    m = list(m)
+    for u, v in m:
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+            raise ValueError(f"({u},{v}) is not an edge of the graph")
+    used = mask_of(w for e in m for w in e)
+    degrees = sum((g.adj[w] & used).bit_count() for w in iter_bits(used))
+    return used.bit_count() == 2 * len(m) and degrees == 2 * len(m)
 
 
 def induced_matching_number(g: Graph) -> int:
-    """Maximum size of an induced matching, by exhaustive branch and bound.
-
-    Picking an edge (u,v) removes N[u] | N[v] from play: any edge chosen
-    later inside the remainder is automatically disjoint and unblocked, so
-    the recursion enumerates exactly the induced matchings.  Branching is on
-    the lowest-index vertex that still has an available incident edge.
-    Intended for n up to ~20.
-    """
-    adj = g.adj
-    best = 0
-
-    def rec(avail: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if size + (avail.bit_count() // 2) <= best:
-            return
-        rest = avail
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            nb = adj[v] & avail
-            if not nb:
-                avail ^= low  # isolated in the remainder, drop for good
-                continue
-            for u in iter_bits(nb):
-                rec(avail & ~(adj[v] | adj[u] | low | (1 << u)), size + 1)
-            rec(avail ^ low, size)
-            return
-
-    rec(g.vertices_mask(), 0)
-    return best
+    """Maximum size of an induced matching, over every `induced_matchings`."""
+    return max(map(len, induced_matchings(g)), default=0)
 
 
 # ---------------------------------------------------------------------------

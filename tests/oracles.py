@@ -107,9 +107,11 @@ def naive_is_chordal(g) -> bool:
     return True
 
 
-def naive_induced_matching_number(g) -> int:
+def naive_induced_matchings(g) -> list[tuple]:
+    """Every nonempty edge subset, as a tuple of edges in `edges` order, whose
+    edges are pairwise disjoint and meet no common edge of g."""
     edges = [frozenset(e) for e in g.edges()]
-    best = 0
+    out = []
     for size in range(1, len(edges) + 1):
         for sub in combinations(edges, size):
             verts = [v for e in sub for v in e]
@@ -121,8 +123,12 @@ def naive_induced_matching_number(g) -> int:
                 for a, b in combinations(sub, 2)
             ):
                 continue
-            best = max(best, size)
-    return best
+            out.append(tuple(tuple(sorted(e)) for e in sub))
+    return out
+
+
+def naive_induced_matching_number(g) -> int:
+    return max(map(len, naive_induced_matchings(g)), default=0)
 
 
 def _rep_choices_form_induced_matching(g, bouquets) -> bool:

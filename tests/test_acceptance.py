@@ -149,8 +149,10 @@ def test_gate5_cross_oracle_consistency(
             failures.append(f"{name}: alternating sum != Hilbert numerator")
         if table.get(1, 1) != g.num_edges():
             failures.append(f"{name}: beta_(1,2) != edge count")
-    # The Euler identity is asserted inside every homology computation the
-    # sweeps above already ran; recheck it here explicitly on full complexes.
+    # betti_table itself checks the Hilbert identity above on every table.
+    # The Euler identity of one complex holds for any ranks (each dimension
+    # is f - r - r), so nothing checks it at run time; recheck it here
+    # explicitly, on full complexes, against a separate face listing.
     for key in (("grb", 3, 3), ("path-star", 3), ("star-triangle", 2)):
         g = family_graphs[key]
         levels = independent_sets_by_card(g.adj, g.vertices_mask())

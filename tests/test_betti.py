@@ -21,6 +21,7 @@ from edgebetti.families import g_pr1, g_rb
 from edgebetti.graphs import is_chordal, is_connected, new_graph
 from edgebetti.homology import (
     FieldSpec,
+    InvariantError,
     cone_star,
     homology_dims_from_levels,
     independent_sets_by_card,
@@ -317,3 +318,17 @@ def test_hilbert_equals_k_polynomial_randomized():
     for _ in range(30):
         g = random_graph(rng.randint(0, 7), rng)
         assert k_polynomial(betti_table(g)) == hilbert_numerator(g)
+
+
+def test_table_with_a_dropped_face_raises(monkeypatch):
+    # A listing that loses one face of its top level still gets dimensions
+    # f - r - r that satisfy the Euler identity of the shortened listing, so
+    # only the table-level Hilbert check sees the lost face.
+    def dropped(adj, w, star):
+        levels = independent_sets_by_card(adj, w, star)
+        levels[-1] = levels[-1][1:]
+        return levels
+
+    monkeypatch.setattr(betti, "independent_sets_by_card", dropped)
+    with pytest.raises(InvariantError, match="Hilbert numerator"):
+        betti_table(g_rb(3, 2))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgebetti.families import g_rb
 from edgebetti.graphs import (
+    MAX_PARSE_VERTICES,
     Graph,
     format_graph,
     graph_from_json_dict,
@@ -15,6 +17,7 @@ from edgebetti.graphs import (
     graph_to_json_dict,
     graph_to_text,
     induced_matching_number,
+    induced_matchings,
     is_chordal,
     is_connected,
     is_induced_matching,
@@ -24,7 +27,7 @@ from edgebetti.graphs import (
     parse_graph,
 )
 
-from oracles import naive_induced_matching_number, naive_is_chordal
+from oracles import naive_induced_matching_number, naive_induced_matchings, naive_is_chordal
 
 
 def cycle(n):
@@ -137,6 +140,16 @@ def test_induced_matching_number_matches_oracle():
     for _ in range(40):
         g = random_graph(rng.randint(1, 7), rng)
         assert induced_matching_number(g) == naive_induced_matching_number(g)
+        # the enumerator lists exactly the subsets the naive filter accepts,
+        # each once, and is_induced_matching accepts those and no others
+        listed = list(induced_matchings(g))
+        accepted = set(naive_induced_matchings(g))
+        assert len(set(listed)) == len(listed) and set(listed) == accepted
+        edges = g.edges()
+        for size in range(1, len(edges) + 1):
+            assert list(induced_matchings(g, size)) == [m for m in listed if len(m) == size]
+            for sub in itertools.combinations(edges, size):
+                assert is_induced_matching(g, sub) == (sub in accepted), sub
 
 
 @st.composite
@@ -146,6 +159,22 @@ def graphs(draw, max_n=7):
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     edges = [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
     return new_graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs())
+def test_is_chordal_matches_oracle_up_to_7_vertices(g):
+    assert is_chordal(g) == naive_is_chordal(g)
+
+
+def test_is_chordal_at_the_parse_cap():
+    # 64 vertices, beyond the reach of the naive oracle
+    for n in range(4, MAX_PARSE_VERTICES + 1):
+        assert not is_chordal(cycle(n)), n
+    for n in range(MAX_PARSE_VERTICES + 1):
+        assert is_chordal(path(n)), n
+    big = g_rb(21, 21)
+    assert big.n == 63 and is_chordal(big)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -301,10 +301,11 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
 def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # Clearing skips the rows of faces that lead the map above.  A rank that
     # came out too low at one level would raise two adjacent dimensions and
-    # still pass the Euler and sign checks, so compare every level with the
-    # rank of the whole matrix.  Inputs: every non-cone subset of every
-    # chordal graph up to 7 vertices and of 40 random graphs up to 9 (each
-    # induced graph once), the RP^2 witness and Ind(C_n) for n <= 12.  Then
+    # still pass the sign check and the table's Hilbert check, so compare
+    # every level with the rank of the whole matrix.  Inputs: every non-cone
+    # subset of every chordal graph up to 7 vertices and of 40 random graphs
+    # up to 9 (each induced graph once), the RP^2 witness and Ind(C_n) for
+    # n <= 12.  Then
     # every source graph runs its non-cone subsets again in mask order
     # through one shared face cache per field, as a Hochster sweep does, so
     # that a row cached under one complex must also be right in the next.
@@ -387,8 +388,8 @@ def test_cone_has_no_reduced_homology():
 
 
 # A rank pushed too high (one lead per row, dependent or not) makes a
-# homology dimension negative.  (A rank of 0 would not do: the rank terms
-# telescope, so the Euler identity still holds.)
+# homology dimension negative.  (A rank of 0 would not do: the ranks cancel
+# from the table's alternating sum, so the Hilbert check still holds.)
 _TAMPERED_SWEEP = """
 import sys
 import edgebetti.homology as homology
