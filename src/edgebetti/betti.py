@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import Graph
 from .homology import (
     MAX_SWEEP_VERTICES,
-    FaceCache,
     FieldSpec,
     HomologyProfile,
     InvariantError,
@@ -95,11 +94,13 @@ def _hochster_terms(
     `independence_numbers` table per sweep, so that the dims stay dense on
     -1 .. dim Ind(G_W) and each level still gets its one rank call.  A face
     keeps its boundary row in every Ind(G_W) that holds it, so the sweep
-    builds each row once, in one `FaceCache` that ends with the sweep.
+    builds each row once, in one dict face mask -> row that ends with the
+    sweep.  This is the one place where a complex is taken relative to its
+    cone; `reduced_homology_dims` takes the whole complex.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
-    cache = FaceCache()
+    rows: dict[int, dict[int, int]] = {}
     alpha = independence_numbers(adj)
     for w in masks:
         star = cone_star(adj, w)
@@ -107,7 +108,7 @@ def _hochster_terms(
             levels = independent_sets_by_card(adj, w, star)
             while len(levels) <= alpha[w]:
                 levels.append([])
-            yield w, homology_dims_from_levels(levels, p, cache, star)
+            yield w, homology_dims_from_levels(levels, p, rows, star)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+import warnings
 
 from .analysis import render_table
 from .betti import betti_single, betti_table
@@ -117,7 +118,12 @@ def cmd_betti(args: argparse.Namespace) -> int:
     field = FieldSpec.parse(args.field)
     if args.cell is not None:
         i, j = args.cell
-        print(betti_single(g, i, j, field))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = betti_single(g, i, j, field)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        print(value)
         return 0
     table = betti_table(g, field)
     if args.json:
@@ -132,13 +138,14 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 def cmd_cert(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    # the search refuses a graph above its cap before anything is printed
+    cert = find_certificate(g, args.i, args.j)
     if not is_chordal(g):
         print(
             "warning: graph is not chordal; a missing certificate does not "
             "imply a vanishing Betti number",
             file=sys.stderr,
         )
-    cert = find_certificate(g, args.i, args.j)
     print("none" if cert is None else json.dumps(cert.to_json_dict()))
     return 0
 

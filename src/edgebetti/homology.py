@@ -7,33 +7,31 @@ come from boundary-matrix ranks:
 
 with the reduced convention that d_0 maps every vertex to the empty face,
 so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
-reduced homology at all.  An independence complex Ind(G_W) is taken relative
-to a cone inside it: for a vertex v of W, the faces that miss N(v) form the
+reduced homology at all.  A Hochster sweep takes each Ind(G_W) relative to
+a cone inside it: for a vertex v of W, the faces that miss N(v) form the
 cone K = v * Ind(G_{W - N[v]}), so ~H_k(Ind G_W) = H_k(Ind G_W, K) and only
 the faces that meet N(v) are listed and enter the matrices (Adamaszek 2012);
 the levels still run up to alpha(G_W), the largest face of the whole
-complex, so the dimensions stay dense on -1 .. dim Ind(G_W).  Ranks are
-exact: one online echelon loop over the rationals (plain ints while every
-pivot leads with +-1) or GF(p), and bitmask XOR elimination over GF(2), taken
-from the top level down with clearing (Chen and Kerber 2011): the row of a
-face that leads a reduced row of the map above is skipped.  A sweep builds
-each face's row once and keeps it in a `FaceCache` for every later complex
-that holds the face.
+complex, so the dimensions stay dense on -1 .. dim Ind(G_W).  A face's
+boundary row is one format in every field, the dict facet mask -> +-1, and
+a sweep builds it once and keeps it for every later complex that holds the
+face.  Ranks are exact, taken by `matrix_rank` from the top level down with
+clearing (Chen and Kerber 2011): the row of a face that leads a reduced row
+of the map above is skipped.  Leads are facet masks in every field.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
-from .linalg import matrix_rank, rank_gf2
+from .linalg import matrix_rank
 
 HomologyProfile = dict[int, int]
 
-# Largest graph whose subsets one sweep, or one reduced_homology_dims call,
-# will enumerate.
+# Largest graph one Hochster sweep runs on; reduced_homology_dims, which
+# lists the whole complex of the graph, refuses a larger one too.
 MAX_SWEEP_VERTICES = 16
 
 
@@ -204,40 +202,21 @@ def cone_star(adj: Sequence[int], w: int) -> int:
     return star
 
 
-class FaceCache:
-    """Boundary rows of the faces one sweep has met, each built once.
-
-    The boundary of a face does not depend on the complex it lies in, so one
-    sweep over the subsets of a graph keeps one cache for its one field and
-    drops it when the sweep ends.  A cached row is always the whole boundary;
-    a relative complex takes its one facet out of the row where it is used,
-    never in the cache.  Over QQ and GF(p) a row is a dict keyed by the face
-    masks of the facets, with alternating signs.  Over GF(2) a row is a
-    bitmask over column ids: ``ids[c]`` numbers the c-vertex faces in the
-    order they are first met, so the row of a c-vertex face is as wide as the
-    number of (c-1)-vertex faces the sweep has met, not 2^n bits.
-    """
-
-    __slots__ = ("rows", "ids")
-
-    def __init__(self) -> None:
-        self.rows: dict[int, dict[int, int] | int] = {}
-        self.ids: defaultdict[int, dict[int, int]] = defaultdict(dict)
-
-
 def homology_dims_from_levels(
     levels: list[list[int]],
     p: int | None,
-    cache: FaceCache | None = None,
+    rows: dict[int, dict[int, int]] | None = None,
     star: int | None = None,
 ) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
     ``levels[c]`` must list the c-vertex faces; ``levels[0] == [0]``.  Returns
     a dense map k -> dim ~H_k for k = -1 .. dim.  Coefficients are QQ when
-    *p* is None, GF(p) otherwise.  Each face's boundary row is taken from
-    *cache* and built only when the cache has not met the face before; a
-    cache must serve one field only.  Without one, a fresh cache is used.
+    *p* is None, GF(p) otherwise.  A face's boundary row is the dict facet
+    mask -> +-1 in every field; it is taken from *rows*, face mask -> row,
+    and built and stored there only when *rows* has not met the face before.
+    A sweep passes one dict for all its complexes; without one, a fresh dict
+    is used.
 
     With *star* = N(v) & W from `cone_star`, the levels must be those of
     Ind(G_W), and the dimensions are taken relative to the cone K of the faces
@@ -246,9 +225,8 @@ def homology_dims_from_levels(
     contractible the dimensions are those of the whole complex.  With *star*
     None every face is kept, for any complex.
     """
-    if cache is None:
-        cache = FaceCache()
-    rows, ids = cache.rows, cache.ids
+    if rows is None:
+        rows = {}
     # The whole complex keeps every face (meet = -1) and every facet, the
     # empty face of a vertex too.
     relative = star is not None
@@ -261,61 +239,33 @@ def homology_dims_from_levels(
     # A face that leads a reduced row z of the map above is a face of the
     # cycle z: d(z) = 0 writes its row below through the rows of the other
     # faces of z, all on one side of the lead.  Skipping it keeps the span.
-    # Leads are face masks over QQ and GF(p), column ids over GF(2).
     cleared: set[int] = set()
     for c in range(top, 0, -1):
         n = 0
-        if p == 2:
-            masks = []
-            face_ids, col_ids = ids[c], ids[c - 1]
-            for face in levels[c]:
-                x = face & meet
-                if not x:
-                    continue
-                n += 1
-                if face_ids.get(face) in cleared:
-                    continue
-                row = rows.get(face)
-                if row is None:
-                    row = 0
-                    m = face
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        col = col_ids.get(face ^ low)
-                        if col is None:
-                            col = col_ids[face ^ low] = len(col_ids)
-                        row |= 1 << col
-                    rows[face] = row
-                if relative and x & (x - 1) == 0:
-                    row &= ~(1 << col_ids[face ^ x])
-                masks.append(row)
-            leads = rank_gf2(masks)
-        else:
-            matrix = []
-            for face in levels[c]:
-                x = face & meet
-                if not x:
-                    continue
-                n += 1
-                if face in cleared:
-                    continue
-                row = rows.get(face)
-                if row is None:
-                    row = {}
-                    sign = 1
-                    m = face
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        row[face ^ low] = sign
-                        sign = -sign
-                    rows[face] = row
-                if relative and x & (x - 1) == 0:
-                    row = dict(row)
-                    del row[face ^ x]
-                matrix.append(row)
-            leads = matrix_rank(matrix, p)
+        matrix = []
+        for face in levels[c]:
+            x = face & meet
+            if not x:
+                continue
+            n += 1
+            if face in cleared:
+                continue
+            row = rows.get(face)
+            if row is None:
+                row = {}
+                sign = 1
+                m = face
+                while m:
+                    low = m & -m
+                    m ^= low
+                    row[face ^ low] = sign
+                    sign = -sign
+                rows[face] = row
+            if relative and x & (x - 1) == 0:
+                row = dict(row)
+                del row[face ^ x]
+            matrix.append(row)
+        leads = matrix_rank(matrix, p)
         kept[c] = n
         rank_out[c] = len(leads)
         cleared = set(leads)
@@ -332,20 +282,9 @@ def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyP
     """Reduced homology dimensions of the independence complex Ind(*g*) over
     *field*, as k -> dim ~H_k.
 
-    The map is dense on -1 .. dim Ind(g); every other degree is zero.  A
-    cone, and the empty graph's {emptyset}, is listed and taken whole; any
-    other Ind(g) lists only the faces that meet its `cone_star`, padded with
-    empty levels up to alpha(g), as a Hochster sweep does.
+    The map is dense on -1 .. dim Ind(g); every other degree is zero.  The
+    whole complex is listed and taken as it is.
     """
     if g.n > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
-    w = g.vertices_mask()
-    star = cone_star(g.adj, w)
-    if not star:
-        # a cone, or the empty graph's {emptyset}, is taken whole
-        return homology_dims_from_levels(independent_sets_by_card(g.adj, w), field.p)
-    levels = independent_sets_by_card(g.adj, w, star)
-    top = independence_numbers(g.adj)[w]
-    while len(levels) <= top:
-        levels.append([])
-    return homology_dims_from_levels(levels, field.p, None, star)
+    return homology_dims_from_levels(independent_sets_by_card(g.adj, g.vertices_mask()), field.p)

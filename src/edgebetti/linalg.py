@@ -1,21 +1,23 @@
 """Exact rank of sparse integer matrices, over the rationals or GF(p).
 
 Matrices arrive as lists of rows, each row a dict column -> nonzero int
-coefficient (boundary matrices have entries in {-1, +1}).  GF(2) rows may
-instead come as bitmasks, for ``rank_gf2``.
+coefficient (boundary matrices have entries in {-1, +1}).
 
-``matrix_rank`` is one online echelon loop for every field.  Each row is
-reduced against the pivot rows stored so far, which are keyed by their
-highest column and scaled to lead with 1; a row that does not reduce to zero
-becomes the next pivot.  Over GF(p) every entry is reduced mod p.  Over the
-rationals a lead of +-1 keeps the pivot in plain ints, which for simplicial
-boundary matrices is almost always the case; any other lead is divided out
-as an exact ``Fraction``, so the result is exact in every case.  The work is
+``matrix_rank`` is one online echelon for every field.  Each row is reduced
+against the pivot rows stored so far, which are keyed by their highest
+column; a row that does not reduce to zero becomes the next pivot.  Over
+GF(2) a row is the set of its odd columns and reduces by symmetric
+difference.  Over GF(p) every entry is reduced mod p, and pivots are scaled
+to lead with 1.  Over the rationals a lead of +-1 keeps the pivot in plain
+ints, which for simplicial boundary matrices is almost always the case; any
+other lead is divided out as an exact ``Fraction``, so the result is exact
+in every case.  A row whose entries are all +-1 is taken as it is: its set
+of columns over GF(2), its entries unreduced over GF(p).  The work is
 deterministic: rows are taken in the order given, and copied, never changed.
 
-Both return the lead columns of the echelon, so the rank is their count:
-the highest column of each reduced row (``matrix_rank``) or its lowest bit
-(``rank_gf2``).  The set of leads depends only on the row space.
+It returns the lead columns of the echelon, the highest column of each
+reduced row, so the rank is their count.  The set of leads depends only on
+the row space.
 """
 
 from __future__ import annotations
@@ -24,27 +26,30 @@ from fractions import Fraction
 
 Row = dict[int, int]
 
-
-def rank_gf2(masks: list[int]) -> list[int]:
-    """Lead columns (lowest bits) over GF(2) of rows given as bitmasks."""
-    pivots: dict[int, int] = {}
-    for m in masks:
-        while m:
-            low = m & -m
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = m
-                break
-            m ^= piv
-    return [low.bit_length() - 1 for low in pivots]
+_UNITS = frozenset((1, -1))
 
 
 def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
     """Lead columns (highest) of an integer matrix over QQ (p None) or GF(p),
     p prime."""
+    if p == 2:
+        odd: dict[int, set[int]] = {}
+        for row in rows:
+            if _UNITS.issuperset(row.values()):
+                s = set(row)
+            else:
+                s = {c for c, v in row.items() if v % 2}
+            while s:
+                c = max(s)
+                piv = odd.get(c)
+                if piv is None:
+                    odd[c] = s
+                    break
+                s ^= piv
+        return list(odd)
     pivots: dict[int, Row] = {}
     for row in rows:
-        if p is None:
+        if p is None or _UNITS.issuperset(row.values()):
             r = dict(row)
         else:
             r = {c: v % p for c, v in row.items() if v % p}

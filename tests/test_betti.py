@@ -242,7 +242,6 @@ def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
         betti, "independent_sets_by_card", counted("listings", independent_sets_by_card)
     )
     monkeypatch.setattr(homology, "matrix_rank", counted("ranks", linalg.matrix_rank))
-    monkeypatch.setattr(homology, "rank_gf2", counted("ranks", linalg.rank_gf2))
     for p in (None, 2, 3):
         counts.update(listings=0, ranks=0)
         betti_table(g_rb(5, 3), FieldSpec(p))
@@ -250,8 +249,9 @@ def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
 
 
 def test_sweeps_in_turn_equal_fresh_calls():
-    # Each sweep keeps its own face cache: QQ, then GF(2), then QQ again over
-    # the RP^2 witness give, subset by subset, what a fresh cache gives.
+    # Each sweep keeps its own dict of boundary rows: QQ, then GF(2), then QQ
+    # again over the RP^2 witness give, subset by subset, what a fresh dict
+    # gives.
     adj = tuple(RP2_WITNESS.adj)
     masks = range(1, 1 << RP2_WITNESS.n)
     for p in (None, 2, None):

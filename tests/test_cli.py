@@ -128,6 +128,13 @@ def test_betti_cell_at_far_corner(capsys):
     assert out.strip() == "1"
 
 
+def test_betti_cell_beyond_the_variables_warns_in_one_line(capsys):
+    # beta_(10,20) of a ring in 8 variables: one warning line, no source line
+    code, out, err = run(capsys, "betti", "--family", "grb:3,2", "--cell", "10", "10")
+    assert code == 0 and out == "0\n"
+    assert err.splitlines() == ["warning: beta_(10,20) of a ring in 8 variables is identically 0"]
+
+
 def test_betti_gf2_matches_qq_here(capsys):
     _, qq, _ = run(capsys, "betti", "--family", "star-triangle:2")
     _, gf2, _ = run(capsys, "betti", "--family", "star-triangle:2", "--field", "gf2")
@@ -250,6 +257,15 @@ def test_cert_warns_on_non_chordal(capsys, tmp_path):
     assert code == 0
     assert "not chordal" in err
     assert json.loads(out)["type"] == [1, 1]
+
+
+def test_cert_above_the_cap_is_one_error_line(capsys, tmp_path):
+    # C20 is not chordal, but the refusal comes before the warning
+    f = tmp_path / "c20.txt"
+    f.write_text(graph_to_text(new_graph(20, [(k, (k + 1) % 20) for k in range(20)])))
+    code, out, err = run(capsys, "cert", "1", "1", str(f))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: graph has 20 > 16 vertices"]
 
 
 def test_verify_path_star_is_the_gpr1_boundary(capsys):

@@ -13,7 +13,6 @@ from edgebetti.enumeration import all_chordal_graphs
 from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     MAX_SWEEP_VERTICES,
-    FaceCache,
     FieldSpec,
     cone_star,
     homology_dims_from_levels,
@@ -205,9 +204,13 @@ def test_cycle_homology_matches_kozlov_up_to_the_cap():
         k, rest = divmod(n, 3)
         expected = ({k - 1: 2}, {k - 1: 1}, {k: 1})[rest]
         cycle = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        full = cycle.vertices_mask()
         for p in (None, 2, 3):
             dims = reduced_homology_dims(cycle, FieldSpec(p))
             assert {d: v for d, v in dims.items() if v} == expected, (n, p)
+            # the sweep takes the same complex relative to its cone star
+            relative = dict(betti._hochster_terms(tuple(cycle.adj), [full], p))[full]
+            assert relative == dims, (n, p)
 
 
 def test_homology_matches_oracle_on_random_complexes():
@@ -279,7 +282,7 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
-        lambda levels, p, cache, star: handed.append((levels, star)) or {},
+        lambda levels, p, rows, star: handed.append((levels, star)) or {},
     )
     subsets = 0
     for g in _oracle_source_graphs():
@@ -307,10 +310,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # up to 9 (each induced graph once), the RP^2 witness and Ind(C_n) for
     # n <= 12.  Then
     # every source graph runs its non-cone subsets again in mask order
-    # through one shared face cache per field, as a Hochster sweep does, so
-    # that a row cached under one complex must also be right in the next.
+    # through one shared dict of rows per field, as a Hochster sweep does, so
+    # that a row kept under one complex must also be right in the next.
     # Each subset of the sweeps is taken whole and relative to the cone of
-    # its `cone_star`, through the same cache: the relative ranks must equal
+    # its `cone_star`, through the same dict: the relative ranks must equal
     # those of the relative matrix, level by level, and the dimensions must
     # equal the whole complex's.
     graphs = set()
@@ -337,11 +340,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
-    monkeypatch.setattr(homology, "rank_gf2", recorded(linalg.rank_gf2))
 
-    def check(levels, p, cache, full, where, star=None):
+    def check(levels, p, rows, full, where, star=None):
         calls.clear()
-        dims = homology_dims_from_levels(levels, p, cache, star)
+        dims = homology_dims_from_levels(levels, p, rows, star)
         top = len(levels) - 1
         assert len(calls) == top, where
         above = 0
@@ -365,14 +367,14 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
             check(levels, p, None, full[adj, p], (adj, p))
     assert len(graphs) > 1500
     for adj, subsets in sweeps:
-        caches = {p: FaceCache() for p in fields}
+        kept_rows = {p: {} for p in fields}
         for w, induced in subsets:
             levels = independent_sets_by_card(adj, w)
             star = cone_star(adj, w)
-            for p, cache in caches.items():
-                whole = check(levels, p, cache, full[induced, p], (adj, w, p))
+            for p, rows in kept_rows.items():
+                whole = check(levels, p, rows, full[induced, p], (adj, w, p))
                 where = (adj, w, p, star)
-                assert check(levels, p, cache, relative[induced, p], where, star) == whole, where
+                assert check(levels, p, rows, relative[induced, p], where, star) == whole, where
     assert sum(len(subsets) for _, subsets in sweeps) > 25_000
 
 
@@ -394,7 +396,7 @@ _TAMPERED_SWEEP = """
 import sys
 import edgebetti.homology as homology
 from edgebetti import FieldSpec, betti_table, new_graph
-homology.rank_gf2 = lambda masks: list(range(len(masks)))
+homology.matrix_rank = lambda rows, p: list(range(len(rows)))
 try:
     betti_table(new_graph(3, [(0, 1), (1, 2)]), FieldSpec.gf(2))
 except Exception as exc:
