@@ -10,7 +10,9 @@ disjoint set with s bouquets covering t vertices in total has type
 On a chordal graph, beta_{i,i+j}(S/I(G)) is nonzero exactly when some
 induced subgraph G_W is covered by a strongly disjoint set of bouquets of
 type (i, j); `find_certificate` searches for such a witness exhaustively
-and `certified_positions` collects every witnessed type.
+and `certified_positions` collects every witnessed type.  Both walk the
+induced matchings of the graph, so both take its size guard:
+`graphs.induced_matchings` refuses a graph above ``MAX_SEARCH_VERTICES``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from typing import Iterator
 
 from .graphs import Graph, induced_matchings, is_chordal, is_induced_matching, iter_bits, mask_of
 from .homology import InvariantError
-
-MAX_SEARCH_VERTICES = 16
-MAX_PREDICT_VERTICES = 13
 
 Edge = tuple[int, int]
 
@@ -133,10 +132,8 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
     smallest attachable outside vertices, each hung on its smallest
     adjacent root.  Returns the first certificate in that order, hence a
     deterministic one, or None.  Types with j < 1, i < j or i + j > n are
-    impossible and return None immediately.
+    impossible and return None immediately, at any size.
     """
-    if g.n > MAX_SEARCH_VERTICES:
-        raise ValueError(f"graph has {g.n} > {MAX_SEARCH_VERTICES} vertices")
     if j < 1 or i < j or i + j > g.n:
         return None
     need = i - j
@@ -163,19 +160,17 @@ def certified_positions(g: Graph) -> set[tuple[int, int]]:
 
     On a chordal graph this is exactly the support of the Betti table of
     S/I(g); elsewhere it is still a sound list of nonzero positions but may
-    be incomplete, so a warning is emitted.
+    be incomplete, so a warning is emitted after the search.
     """
-    if g.n > MAX_PREDICT_VERTICES:
-        raise ValueError(f"graph has {g.n} > {MAX_PREDICT_VERTICES} vertices")
+    out = {(0, 0)}
+    for matching, _, attachable in _rooted_matchings(g, None):
+        s = len(matching)
+        for e in range(len(attachable) + 1):
+            out.add((s + e, s))
     if not is_chordal(g):
         warnings.warn(
             "graph is not chordal: certified positions list nonzero Betti "
             "positions but may miss some",
             stacklevel=2,
         )
-    out = {(0, 0)}
-    for matching, _, attachable in _rooted_matchings(g, None):
-        s = len(matching)
-        for e in range(len(attachable) + 1):
-            out.add((s + e, s))
     return out

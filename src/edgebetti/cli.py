@@ -32,10 +32,8 @@ from .enumeration import (
 )
 from .families import FAMILY_BUILDERS, build_family, parse_family_spec
 from .graphs import Graph, format_graph, is_chordal, parse_graph
-from .homology import FieldSpec
+from .homology import MAX_SWEEP_VERTICES, FieldSpec
 from .verify import (
-    MAX_EQUIVALENCE_VERTICES,
-    MAX_ORACLE_VERTICES,
     oracle_member,
     verify_cert_support,
     verify_gpr1,
@@ -159,12 +157,12 @@ def _replay(reports) -> int:
     return 1 if failed else 0
 
 
-def _sweep_graphs(args: argparse.Namespace, max_n: int):
+def _sweep_graphs(args: argparse.Namespace):
     """Yield (name, graph) pairs for the support / reg-indmatch scopes.
 
-    *max_n* is the largest order the scope's check accepts; an enumeration
-    bound above it, or above the enumerator's own cap, is rejected before
-    the first graph is yielded.
+    Both scopes' checks compute a Betti table, so an enumeration bound above
+    ``MAX_SWEEP_VERTICES``, or above the enumerator's own cap, is rejected
+    before the first graph is yielded.
     """
     modes = [
         args.family is not None,
@@ -182,11 +180,12 @@ def _sweep_graphs(args: argparse.Namespace, max_n: int):
         for flag, value in (("--max-n", args.max_n), ("--seed", args.seed)):
             if value is not None:
                 raise ValueError(f"{flag} needs --random")
+    top = MAX_SWEEP_VERTICES
     for flag, value, cap in (
-        ("--trees-upto", args.trees_upto, min(MAX_TREE_VERTICES, max_n)),
-        ("--all-chordal-upto", args.all_chordal_upto, min(MAX_CHORDAL_VERTICES, max_n)),
+        ("--trees-upto", args.trees_upto, min(MAX_TREE_VERTICES, top)),
+        ("--all-chordal-upto", args.all_chordal_upto, min(MAX_CHORDAL_VERTICES, top)),
         ("--random", args.random, None),
-        ("--max-n", args.max_n, max_n),
+        ("--max-n", args.max_n, top),
     ):
         if value is None:
             continue
@@ -223,13 +222,11 @@ def cmd_verify_gpr1(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_support(args: argparse.Namespace) -> int:
-    graphs = _sweep_graphs(args, MAX_EQUIVALENCE_VERTICES)
-    return _replay(verify_cert_support(g, name) for name, g in graphs)
+    return _replay(verify_cert_support(g, name) for name, g in _sweep_graphs(args))
 
 
 def cmd_verify_reg_indmatch(args: argparse.Namespace) -> int:
-    graphs = _sweep_graphs(args, MAX_ORACLE_VERTICES)
-    return _replay(verify_reg_eq_indmatch(g, name) for name, g in graphs)
+    return _replay(verify_reg_eq_indmatch(g, name) for name, g in _sweep_graphs(args))
 
 
 def _build_parser() -> argparse.ArgumentParser:

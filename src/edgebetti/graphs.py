@@ -13,8 +13,13 @@ from typing import Iterable, Iterator, Sequence
 Edge = tuple[int, int]
 
 # Largest order the text and JSON readers accept, checked before any
-# per-vertex work.  Every entry point caps far lower (20 vertices at most).
+# per-vertex work.  The readers, writers, `is_chordal` and `is_connected`
+# take every graph up to it; the exponential computations cap lower.
 MAX_PARSE_VERTICES = 64
+
+# Largest graph `induced_matchings` searches: the number of induced
+# matchings, and so the search, can grow exponentially in n.
+MAX_SEARCH_VERTICES = 16
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -151,7 +156,11 @@ def induced_matchings(g: Graph, size: int | None = None) -> Iterator[tuple[Edge,
     With *size* set, only matchings of that size are yielded; otherwise
     every nonempty one is.  Picking an edge (u,v) blocks N[u] | N[v], so
     every edge picked later is disjoint from it and joined to it by no edge.
+    A graph above ``MAX_SEARCH_VERTICES`` is refused when the function is
+    called, before the first matching is asked for.
     """
+    if g.n > MAX_SEARCH_VERTICES:
+        raise ValueError(f"graph has {g.n} > {MAX_SEARCH_VERTICES} vertices")
     edges = g.edges()
     closed = [g.adj[v] | 1 << v for v in range(g.n)]
     chosen: list[Edge] = []
@@ -171,7 +180,7 @@ def induced_matchings(g: Graph, size: int | None = None) -> Iterator[tuple[Edge,
             yield from rec(idx + 1, blocked | closed[u] | closed[v])
             chosen.pop()
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 def is_induced_matching(g: Graph, m: Iterable[Edge]) -> bool:
@@ -191,7 +200,8 @@ def is_induced_matching(g: Graph, m: Iterable[Edge]) -> bool:
 
 
 def induced_matching_number(g: Graph) -> int:
-    """Maximum size of an induced matching, over every `induced_matchings`."""
+    """Maximum size of an induced matching, over every `induced_matchings`
+    (so capped at ``MAX_SEARCH_VERTICES``)."""
     return max(map(len, induced_matchings(g)), default=0)
 
 
@@ -219,7 +229,7 @@ def graph_from_text(text: str) -> Graph:
     n, m = values[0], values[1]
     _check_order(n)
     if len(values) != 2 + 2 * m:
-        raise ValueError(f"expected {m} edges, found {(len(values) - 2) / 2}")
+        raise ValueError(f"expected {2 * m} numbers after 'n m', found {len(values) - 2}")
     edges = [(values[2 + 2 * k], values[3 + 2 * k]) for k in range(m)]
     return new_graph(n, edges)
 

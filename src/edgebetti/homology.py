@@ -218,22 +218,21 @@ def homology_dims_from_levels(
     A sweep passes one dict for all its complexes; without one, a fresh dict
     is used.
 
-    With *star* = N(v) & W from `cone_star`, the levels must be those of
-    Ind(G_W), and the dimensions are taken relative to the cone K of the faces
-    that miss *star*: only the faces that meet it are kept, and a face that
-    meets it in one vertex x loses its facet F - x, a face of K.  Since K is
-    contractible the dimensions are those of the whole complex.  With *star*
-    None every face is kept, for any complex.
+    With *star* = N(v) & W from `cone_star`, ``levels[c]`` must list the
+    c-vertex faces of Ind(G_W) that meet *star*, as
+    ``independent_sets_by_card(adj, W, star)`` gives them, and the dimensions
+    are taken relative to the cone K of the faces that miss it: a face that
+    meets *star* in one vertex x loses its facet F - x, a face of K.  Since K
+    is contractible the dimensions are those of the whole complex.  With
+    *star* None every listed face is kept, for any complex.
     """
     if rows is None:
         rows = {}
-    # The whole complex keeps every face (meet = -1) and every facet, the
-    # empty face of a vertex too.
-    relative = star is not None
-    meet = star if relative else -1
     top = len(levels) - 1
     # kept[c] = number of c-vertex faces kept; the empty face misses any star
-    kept = [0 if relative else len(levels[0])] + [0] * top
+    kept = [len(level) for level in levels]
+    if star is not None:
+        kept[0] = 0
     # rank_out[c] = rank of the boundary map from the c-vertex faces down
     rank_out = [0] * (top + 2)
     # A face that leads a reduced row z of the map above is a face of the
@@ -241,13 +240,8 @@ def homology_dims_from_levels(
     # faces of z, all on one side of the lead.  Skipping it keeps the span.
     cleared: set[int] = set()
     for c in range(top, 0, -1):
-        n = 0
         matrix = []
         for face in levels[c]:
-            x = face & meet
-            if not x:
-                continue
-            n += 1
             if face in cleared:
                 continue
             row = rows.get(face)
@@ -261,12 +255,13 @@ def homology_dims_from_levels(
                     row[face ^ low] = sign
                     sign = -sign
                 rows[face] = row
-            if relative and x & (x - 1) == 0:
-                row = dict(row)
-                del row[face ^ x]
+            if star is not None:
+                x = face & star
+                if x & (x - 1) == 0:
+                    row = dict(row)
+                    del row[face ^ x]
             matrix.append(row)
         leads = matrix_rank(matrix, p)
-        kept[c] = n
         rank_out[c] = len(leads)
         cleared = set(leads)
     dims: HomologyProfile = {}

@@ -4,6 +4,9 @@ Each ``verify_*`` function recomputes a claim from scratch — Betti table,
 invariants, certificate search — and returns a VerificationReport whose
 ``passed`` property is simply ``expected == computed``.  Reports serialize to
 JSON-friendly dicts so the CLI can stream them as JSON lines.
+
+Every check computes a Betti table, so each one refuses a graph above the
+sweep's cap, ``homology.MAX_SWEEP_VERTICES``, before any work.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from .betti import BettiTable, betti_table
 from .bouquets import certified_positions, find_certificate
 from .families import FAMILY_BUILDERS
 from .graphs import Graph, induced_matching_number, is_chordal, is_connected
-
-MAX_ORACLE_VERTICES = 13
-MAX_EQUIVALENCE_VERTICES = 10
+from .homology import MAX_SWEEP_VERTICES
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,13 @@ def _is_tree(g: Graph) -> bool:
 
 def oracle_member(family: str, *params: int) -> Graph:
     """The *family* member with *params*, refused before it is built when its
-    order exceeds ``MAX_ORACLE_VERTICES``; the builder checks the family's
+    order exceeds ``MAX_SWEEP_VERTICES``; the builder checks the family's
     own parameter rule."""
     builder, _, order = FAMILY_BUILDERS[family]
     n = order(*params)
-    if n > MAX_ORACLE_VERTICES:
+    if n > MAX_SWEEP_VERTICES:
         spec = f"{family}:{','.join(map(str, params))}"
-        raise ValueError(f"{spec} has {n} > {MAX_ORACLE_VERTICES} vertices")
+        raise ValueError(f"{spec} has {n} > {MAX_SWEEP_VERTICES} vertices")
     return builder(*params)
 
 
@@ -128,8 +129,8 @@ def verify_grb(r: int, b: int) -> VerificationReport:
 
 def verify_cert_support(g: Graph, name: str = "graph") -> VerificationReport:
     """Chordal equivalence: bouquet-certified positions == table support."""
-    if g.n > MAX_EQUIVALENCE_VERTICES:
-        raise ValueError(f"graph has {g.n} > {MAX_EQUIVALENCE_VERTICES} vertices")
+    if g.n > MAX_SWEEP_VERTICES:
+        raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
     t0 = time.perf_counter()
     params = {"graph": name, "n": g.n, "edges": g.num_edges()}
     if not is_chordal(g):
@@ -170,8 +171,8 @@ def verify_gpr1(p: int, r: int) -> VerificationReport:
 
 def verify_reg_eq_indmatch(g: Graph, name: str = "graph") -> VerificationReport:
     """On chordal graphs, regularity equals the induced matching number."""
-    if g.n > MAX_ORACLE_VERTICES:
-        raise ValueError(f"graph has {g.n} > {MAX_ORACLE_VERTICES} vertices")
+    if g.n > MAX_SWEEP_VERTICES:
+        raise ValueError(f"graph has {g.n} > {MAX_SWEEP_VERTICES} vertices")
     t0 = time.perf_counter()
     params = {"graph": name, "n": g.n, "edges": g.num_edges()}
     if not is_chordal(g):

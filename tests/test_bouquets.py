@@ -192,12 +192,17 @@ def test_certificates_exist_at_extremal_positions_of_path_star():
 
 
 def test_size_caps():
+    # both searches take the induced-matching search's cap of 16 vertices
     big_search = new_graph(17, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="17 > 16"):
         find_certificate(big_search, 1, 1)
-    big_predict = new_graph(14, [])
-    with pytest.raises(ValueError):
-        certified_positions(big_predict)
+    assert find_certificate(big_search, 0, 1) is None  # impossible type, no search
+    # C17 is not chordal, but the refusal comes before the warning
+    big_predict = new_graph(17, [(k, (k + 1) % 17) for k in range(17)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="17 > 16"):
+            certified_positions(big_predict)
 
 
 def test_certified_positions_small_graphs():

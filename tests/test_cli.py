@@ -337,12 +337,15 @@ def test_verify_support_all_chordal(capsys):
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        # an enumeration bound above the scope's vertex cap
-        pytest.param(("support", "--trees-upto", "11"), "cap", id="argv0"),  # 10-vertex cap
-        pytest.param(("support", "--all-chordal-upto", "10"), "cap", id="argv1"),  # enumerator
-        pytest.param(("reg-indmatch", "--trees-upto", "14"), "cap", id="argv2"),  # 13-vertex
+        # an enumeration bound above the enumerator's cap (14 for trees, 9
+        # for chordal graphs) or the sweep's 16-vertex cap
+        pytest.param(("support", "--trees-upto", "15"), "14-vertex cap", id="argv0"),
+        pytest.param(("support", "--all-chordal-upto", "10"), "cap", id="argv1"),
+        pytest.param(("reg-indmatch", "--trees-upto", "15"), "14-vertex cap", id="argv2"),
         pytest.param(
-            ("support", "--random", "20", "--seed", "1", "--max-n", "12"), "cap", id="argv3"
+            ("support", "--random", "20", "--seed", "1", "--max-n", "17"),
+            "16-vertex cap",
+            id="argv3",
         ),
         # the whole parameter grid is checked before the first report
         pytest.param(("grb", "--r", "2..3", "--b", "2..3"), "2 <= b <= r", id="grb-b-above-r"),

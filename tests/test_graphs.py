@@ -133,6 +133,17 @@ def test_induced_matching_number_known():
     assert induced_matching_number(cycle(7)) == 2
 
 
+def test_induced_matching_search_is_capped():
+    # k disjoint edges have 2^k induced matchings; the guard fires when the
+    # search is called, not at its first matching
+    assert induced_matching_number(new_graph(16, [(2 * k, 2 * k + 1) for k in range(8)])) == 8
+    big = new_graph(17, [(2 * k, 2 * k + 1) for k in range(8)])
+    with pytest.raises(ValueError, match="17 > 16"):
+        induced_matchings(big)
+    with pytest.raises(ValueError, match="17 > 16"):
+        induced_matching_number(big)
+
+
 def test_induced_matching_number_matches_oracle():
     import random
 
@@ -201,9 +212,12 @@ def test_text_format_exact():
 def test_text_parse_errors():
     with pytest.raises(ValueError):
         graph_from_text("")
-    with pytest.raises(ValueError):
+    # the counts are whole numbers of tokens after "n m"
+    with pytest.raises(ValueError, match="^expected 4 numbers after 'n m', found 2$"):
         graph_from_text("2 2\n0 1\n")  # fewer edge lines than declared
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 4 numbers after 'n m', found 3$"):
+        graph_from_text("3 2\n0 1\n1\n")  # half an edge line
+    with pytest.raises(ValueError, match="^expected 0 numbers after 'n m', found 2$"):
         graph_from_text("2 0\n0 1\n")  # extra junk after declared edges
 
 

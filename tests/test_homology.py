@@ -312,10 +312,11 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # every source graph runs its non-cone subsets again in mask order
     # through one shared dict of rows per field, as a Hochster sweep does, so
     # that a row kept under one complex must also be right in the next.
-    # Each subset of the sweeps is taken whole and relative to the cone of
-    # its `cone_star`, through the same dict: the relative ranks must equal
-    # those of the relative matrix, level by level, and the dimensions must
-    # equal the whole complex's.
+    # Each subset of the sweeps is taken whole, and relative to the cone of
+    # its `cone_star` from the faces that meet the star, as the sweep lists
+    # them, padded to the whole listing's length, through the same dict: the
+    # relative ranks must equal those of the relative matrix, level by level,
+    # and the dimensions must equal the whole complex's.
     graphs = set()
     sweeps = []  # per source graph: its non-cone subsets W in mask order, with G_W
     for g in _oracle_source_graphs():
@@ -371,10 +372,12 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
         for w, induced in subsets:
             levels = independent_sets_by_card(adj, w)
             star = cone_star(adj, w)
+            met = independent_sets_by_card(adj, w, star)
+            met += [[]] * (len(levels) - len(met))
             for p, rows in kept_rows.items():
                 whole = check(levels, p, rows, full[induced, p], (adj, w, p))
                 where = (adj, w, p, star)
-                assert check(levels, p, rows, relative[induced, p], where, star) == whole, where
+                assert check(met, p, rows, relative[induced, p], where, star) == whole, where
     assert sum(len(subsets) for _, subsets in sweeps) > 25_000
 
 

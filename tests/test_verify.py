@@ -62,7 +62,7 @@ def test_verify_grb_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_grb(3, 1)
     with pytest.raises(ValueError):
-        verify_grb(6, 2)  # 14 vertices > cap
+        verify_grb(7, 3)  # 17 vertices > cap
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (4, 2), (5, 3)])
@@ -87,7 +87,7 @@ def test_verify_gpr1_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_gpr1(2, 2)
     with pytest.raises(ValueError):
-        verify_gpr1(13, 1)  # 14 vertices > cap
+        verify_gpr1(16, 1)  # 17 vertices > cap
 
 
 def test_verify_cert_support_on_chordal():
@@ -105,8 +105,16 @@ def test_verify_cert_support_skips_non_chordal():
 
 
 def test_verify_cert_support_cap():
-    with pytest.raises(ValueError):
-        verify_cert_support(new_graph(11, []))
+    with pytest.raises(ValueError, match="17 > 16"):
+        verify_cert_support(new_graph(17, []))
+
+
+def test_verify_cert_support_at_the_sweep_cap():
+    # the check takes every graph its Betti table takes: g_rb(6,2) has 14
+    # vertices, and its table and certified positions take about 0.2 s
+    rep = verify_cert_support(g_rb(6, 2), "grb62")
+    assert rep.passed and not rep.skipped
+    assert [2 * 6 + 2 - 1, 1] in rep.computed
 
 
 def test_verify_reg_eq_indmatch():
