@@ -10,8 +10,10 @@ disjoint set with s bouquets covering t vertices in total has type
 On a chordal graph, beta_{i,i+j}(S/I(G)) is nonzero exactly when some
 induced subgraph G_W is covered by a strongly disjoint set of bouquets of
 type (i, j); `find_certificate` searches for such a witness exhaustively
-and `certified_positions` collects every witnessed type.  Both walk the
-induced matchings of the graph, so both take its size guard:
+and `certified_positions` collects every witnessed type.  On any other
+graph a witness still proves a position nonzero, but a missing one proves
+nothing, so both warn there.  Both walk the induced matchings of the graph,
+so both take its size guard:
 `graphs.induced_matchings` refuses a graph above ``MAX_SEARCH_VERTICES``.
 """
 
@@ -21,10 +23,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, induced_matchings, is_chordal, is_induced_matching, iter_bits, mask_of
+from .graphs import (
+    Edge, Graph, induced_matchings, is_chordal, is_induced_matching, iter_bits, mask_of
+)
 from .homology import InvariantError
-
-Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -132,26 +134,33 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
     smallest attachable outside vertices, each hung on its smallest
     adjacent root.  Returns the first certificate in that order, hence a
     deterministic one, or None.  Types with j < 1, i < j or i + j > n are
-    impossible and return None immediately, at any size.
+    impossible and return None without a search, at any size.  None proves
+    beta_{i,i+j} = 0 only on a chordal graph, so any other graph warns.
     """
-    if j < 1 or i < j or i + j > g.n:
-        return None
+    cert = None
     need = i - j
-    for matching, roots, attachable in _rooted_matchings(g, j):
-        if len(attachable) < need:
-            continue
-        leaves = {r: [u + v - r] for (u, v), r in zip(matching, roots)}
-        for w in attachable[:need]:
-            leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
-        ordered = sorted(zip(roots, matching))
-        cert = Certificate(
-            tuple((r, tuple(sorted(leaves[r]))) for r, _ in ordered),
-            tuple(e for _, e in ordered),
+    if j >= 1 and need >= 0 and i + j <= g.n:
+        for matching, roots, attachable in _rooted_matchings(g, j):
+            if len(attachable) < need:
+                continue
+            leaves = {r: [u + v - r] for (u, v), r in zip(matching, roots)}
+            for w in attachable[:need]:
+                leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
+            ordered = sorted(zip(roots, matching))
+            cert = Certificate(
+                tuple((r, tuple(sorted(leaves[r]))) for r, _ in ordered),
+                tuple(e for _, e in ordered),
+            )
+            if cert.type != (i, j) or not validate_bouquet_set(g, cert):
+                raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
+            break
+    if not is_chordal(g):
+        warnings.warn(
+            "graph is not chordal; a missing certificate does not imply a "
+            "vanishing Betti number",
+            stacklevel=2,
         )
-        if cert.type != (i, j) or not validate_bouquet_set(g, cert):
-            raise InvariantError(f"search built an invalid bouquet set of type ({i},{j})")
-        return cert
-    return None
+    return cert
 
 
 def certified_positions(g: Graph) -> set[tuple[int, int]]:

@@ -10,6 +10,8 @@ Subcommands:
 Graphs come either from a file (or stdin with "-") in the text or JSON
 format, or inline via --family, e.g. --family grb:5,3.  Exit codes:
 0 success, 1 at least one verification failure, 2 usage error.
+`main` prints every diagnostic on stderr: a refusal is one ``error:`` line
+alone, else each library warning becomes one ``warning:`` line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .enumeration import (
     random_chordal,
 )
 from .families import FAMILY_BUILDERS, build_family, parse_family_spec
-from .graphs import Graph, format_graph, is_chordal, parse_graph
+from .graphs import Graph, format_graph, parse_graph
 from .homology import MAX_SWEEP_VERTICES, FieldSpec
 from .verify import (
     oracle_member,
@@ -115,35 +117,15 @@ def cmd_betti(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     field = FieldSpec.parse(args.field)
     if args.cell is not None:
-        i, j = args.cell
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = betti_single(g, i, j, field)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        print(value)
-        return 0
-    table = betti_table(g, field)
-    if args.json:
-        fmt = "json"
-    elif args.csv:
-        fmt = "csv"
+        print(betti_single(g, *args.cell, field))
     else:
-        fmt = "grid"
-    print(render_table(table, fmt))
+        print(render_table(betti_table(g, field), args.fmt))
     return 0
 
 
 def cmd_cert(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
     # the search refuses a graph above its cap before anything is printed
-    cert = find_certificate(g, args.i, args.j)
-    if not is_chordal(g):
-        print(
-            "warning: graph is not chordal; a missing certificate does not "
-            "imply a vanishing Betti number",
-            file=sys.stderr,
-        )
+    cert = find_certificate(_load_graph(args), args.i, args.j)
     print("none" if cert is None else json.dumps(cert.to_json_dict()))
     return 0
 
@@ -251,12 +233,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p_betti)
     p_betti.add_argument("--field", default="qq", help="qq (default), gf2, or gfp:<p>")
     output = p_betti.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true", help="emit the table as JSON")
-    output.add_argument("--csv", action="store_true", help="emit the table as CSV")
+    for fmt in ("json", "csv"):
+        help_text = f"emit the table as {fmt.upper()}"
+        output.add_argument(f"--{fmt}", dest="fmt", action="store_const", const=fmt, help=help_text)
     output.add_argument(
         "--cell", nargs=2, type=int, metavar=("I", "J"), help="print the single entry (i, j)"
     )
-    p_betti.set_defaults(func=cmd_betti)
+    p_betti.set_defaults(func=cmd_betti, fmt="grid")
 
     p_cert = sub.add_parser("cert", help="search for a bouquet certificate")
     p_cert.add_argument("i", type=int)
@@ -291,8 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code

@@ -228,6 +228,8 @@ def graph_from_text(text: str) -> Graph:
         raise ValueError(f"bad token in graph text: {exc}") from None
     n, m = values[0], values[1]
     _check_order(n)
+    if m < 0:
+        raise ValueError(f"edge count {m} is negative")
     if len(values) != 2 + 2 * m:
         raise ValueError(f"expected {2 * m} numbers after 'n m', found {len(values) - 2}")
     edges = [(values[2 + 2 * k], values[3 + 2 * k]) for k in range(m)]

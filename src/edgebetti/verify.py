@@ -2,8 +2,10 @@
 
 Each ``verify_*`` function recomputes a claim from scratch — Betti table,
 invariants, certificate search — and returns a VerificationReport whose
-``passed`` property is simply ``expected == computed``.  Reports serialize to
-JSON-friendly dicts so the CLI can stream them as JSON lines.
+flags are derived: ``passed`` is ``expected == computed``, and ``skipped``
+(a claim that does not apply, with the reason in ``params``) is ``expected
+is None``.  Reports serialize to JSON-friendly dicts so the CLI can stream
+them as JSON lines.
 
 Every check computes a Betti table, so each one refuses a graph above the
 sweep's cap, ``homology.MAX_SWEEP_VERTICES``, before any work.
@@ -30,12 +32,15 @@ class VerificationReport:
     params: dict
     expected: object
     computed: object
-    skipped: bool = False
     runtime: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.expected == self.computed
+
+    @property
+    def skipped(self) -> bool:
+        return self.expected is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,17 +60,6 @@ def _report(claim: str, params: dict, expected, computed, t0: float) -> Verifica
         params=params,
         expected=expected,
         computed=computed,
-        runtime=time.perf_counter() - t0,
-    )
-
-
-def _skipped(claim: str, params: dict, reason: str, t0: float) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        params=dict(params, reason=reason),
-        expected=None,
-        computed=None,
-        skipped=True,
         runtime=time.perf_counter() - t0,
     )
 
@@ -134,7 +128,7 @@ def verify_cert_support(g: Graph, name: str = "graph") -> VerificationReport:
     t0 = time.perf_counter()
     params = {"graph": name, "n": g.n, "edges": g.num_edges()}
     if not is_chordal(g):
-        return _skipped("cert-support", params, "not chordal", t0)
+        return _report("cert-support", dict(params, reason="not chordal"), None, None, t0)
     certified = sorted(certified_positions(g))
     support = sorted(betti_table(g).support())
     return _report(
@@ -176,7 +170,7 @@ def verify_reg_eq_indmatch(g: Graph, name: str = "graph") -> VerificationReport:
     t0 = time.perf_counter()
     params = {"graph": name, "n": g.n, "edges": g.num_edges()}
     if not is_chordal(g):
-        return _skipped("reg-indmatch", params, "not chordal", t0)
+        return _report("reg-indmatch", dict(params, reason="not chordal"), None, None, t0)
     return _report(
         "reg-indmatch",
         params,

@@ -176,6 +176,21 @@ def test_find_certificate_none_on_grb_vanishing_corner():
     assert betti_table(g).get(6, 2) == 0
 
 
+def test_find_certificate_warns_on_non_chordal():
+    # C4 is not chordal, so a missing certificate proves nothing; the
+    # warning comes whether or not a certificate is found
+    c4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for i, j, found in ((1, 1, True), (0, 1, False)):
+        with pytest.warns(UserWarning, match="^graph is not chordal; a missing certificate"):
+            assert (find_certificate(c4, i, j) is not None) == found
+
+
+def test_find_certificate_silent_on_chordal():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_certificate(g_rb(3, 2), 3, 2) is not None
+
+
 def test_certificates_exist_at_extremal_positions_of_path_star():
     for r in range(1, 7):
         g = path_star(r)

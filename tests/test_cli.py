@@ -135,6 +135,19 @@ def test_betti_cell_beyond_the_variables_warns_in_one_line(capsys):
     assert err.splitlines() == ["warning: beta_(10,20) of a ring in 8 variables is identically 0"]
 
 
+def test_betti_cell_size_limit_only_where_a_sweep_runs(capsys):
+    # g_rb(9,2) has 20 vertices: the unit cell and cells beyond the
+    # variables answer without a sweep, so at any size; (3, 2) is refused
+    code, out, err = run(capsys, "betti", "--family", "grb:9,2", "--cell", "0", "0")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, err = run(capsys, "betti", "--family", "grb:9,2", "--cell", "15", "10")
+    assert code == 0 and out == "0\n"
+    assert err.splitlines() == ["warning: beta_(15,25) of a ring in 20 variables is identically 0"]
+    code, out, err = run(capsys, "betti", "--family", "grb:9,2", "--cell", "3", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: graph has 20 > 16 vertices"]
+
+
 def test_betti_gf2_matches_qq_here(capsys):
     _, qq, _ = run(capsys, "betti", "--family", "star-triangle:2")
     _, gf2, _ = run(capsys, "betti", "--family", "star-triangle:2", "--field", "gf2")
@@ -251,12 +264,19 @@ def test_cert_none(capsys):
 
 
 def test_cert_warns_on_non_chordal(capsys, tmp_path):
+    # one warning line, whether a certificate is found or the type is impossible
     f = tmp_path / "c4.txt"
     f.write_text("4 4\n0 1\n0 3\n1 2\n2 3\n")
+    warning = (
+        "warning: graph is not chordal; a missing certificate does not imply a "
+        "vanishing Betti number"
+    )
     code, out, err = run(capsys, "cert", "1", "1", str(f))
-    assert code == 0
-    assert "not chordal" in err
+    assert code == 0 and err.splitlines() == [warning]
     assert json.loads(out)["type"] == [1, 1]
+    code, out, err = run(capsys, "cert", "0", "1", str(f))
+    assert code == 0 and err.splitlines() == [warning]
+    assert out == "none\n"
 
 
 def test_cert_above_the_cap_is_one_error_line(capsys, tmp_path):

@@ -219,6 +219,11 @@ def test_text_parse_errors():
         graph_from_text("3 2\n0 1\n1\n")  # half an edge line
     with pytest.raises(ValueError, match="^expected 0 numbers after 'n m', found 2$"):
         graph_from_text("2 0\n0 1\n")  # extra junk after declared edges
+    # a negative edge count is refused as such, not as a negative token count
+    with pytest.raises(ValueError, match="^edge count -1 is negative$"):
+        graph_from_text("3 -1\n")
+    with pytest.raises(ValueError, match="^edge count -2 is negative$"):
+        graph_from_text("3 -2\n0 1\n")
 
 
 def test_parse_graph_autodetects():

@@ -35,7 +35,12 @@ def test_report_consistency_enforced():
     # passed is derived from expected == computed, so it cannot disagree
     assert VerificationReport("x", {}, 1, 1).passed
     assert not VerificationReport("x", {}, 1, 2).passed
-    assert VerificationReport("x", {}, None, None, skipped=True).passed
+    # skipped is derived too: a claim that does not apply expects nothing
+    skipped = VerificationReport("x", {"reason": "not chordal"}, None, None)
+    assert skipped.skipped and skipped.passed
+    assert not VerificationReport("x", {}, 1, 1).skipped
+    with pytest.raises(TypeError):
+        VerificationReport("x", {}, None, None, skipped=True)
     with pytest.raises(TypeError):
         VerificationReport("x", {}, 1, 1, passed=True)
 
