@@ -8,8 +8,8 @@ its edge ideal, Hochster's formula gives
 where Ind(G_W) is the independence complex of the induced subgraph on W.  The
 sweep over subsets skips any W whose induced subgraph has an isolated vertex:
 the complex is then a cone and contributes nothing.  Each remaining subset
-gets an exact rank computation per boundary map, relative to the cone of the
-faces that miss the neighbourhood of one vertex.
+gets an exact rank computation per boundary map, relative to the star
+cluster of a maximal independent set of G_W, a contractible subcomplex.
 
 Tables are sparse maps (i, j) -> beta_{i,i+j} with the unit entry (0,0) -> 1
 always present.  The alternating sum of a table is the numerator of the
@@ -31,10 +31,12 @@ from .homology import (
     FieldSpec,
     HomologyProfile,
     InvariantError,
-    cone_star,
+    greedy_order,
     homology_dims_from_levels,
     independence_numbers,
     independent_sets_by_card,
+    isolated_vertices,
+    star_cluster,
 )
 
 MAX_COUNT_VERTICES = 20
@@ -88,27 +90,32 @@ def _hochster_terms(
 
     This is the only loop over vertex subsets: every sweep goes through it,
     and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
-    subset.  Each complex is taken relative to the cone of the faces that
-    miss the `cone_star` of W, and only the faces that meet it are listed.
-    The levels are padded with empty ones up to alpha(G_W), read from one
-    `independence_numbers` table per sweep, so that the dims stay dense on
-    -1 .. dim Ind(G_W) and each level still gets its one rank call.  A face
-    keeps its boundary row in every Ind(G_W) that holds it, so the sweep
-    builds each row once, in one dict face mask -> row that ends with the
-    sweep.  This is the one place where a complex is taken relative to its
-    cone; `reduced_homology_dims` takes the whole complex.
+    subset.  A table of isolated vertices per mask, built once per sweep
+    by `isolated_vertices`, finds the cones.  Each other complex is taken
+    relative to the star cluster SC(sigma) of the maximal independent set
+    sigma that `star_cluster` grows over W in one `greedy_order` per sweep.
+    SC(sigma) is contractible (Barmak 2013), so the relative homology is
+    the reduced homology of Ind(G_W).  Only the faces that meet N(v) for
+    every v in sigma are listed, and a face loses its facet F - x when x is
+    its only vertex in some N(v).  The listing runs to alpha(G_W), read from
+    one `independence_numbers` table per sweep, so that the dims stay dense
+    on -1 .. dim Ind(G_W) and each level still gets its one rank call.  A
+    face keeps its boundary row in every Ind(G_W) that holds it, so the
+    sweep builds each row once, in one dict face mask -> row that ends with
+    the sweep.  This is the one place where a complex is taken relative to
+    a cluster; `reduced_homology_dims` takes the whole complex.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
     rows: dict[int, dict[int, int]] = {}
     alpha = independence_numbers(adj)
+    cones = isolated_vertices(adj)
+    order = greedy_order(adj)
     for w in masks:
-        star = cone_star(adj, w)
-        if star:
-            levels = independent_sets_by_card(adj, w, star)
-            while len(levels) <= alpha[w]:
-                levels.append([])
-            yield w, homology_dims_from_levels(levels, p, rows, star)
+        if w and not cones[w]:
+            sigma, walls = star_cluster(order, w)
+            levels = independent_sets_by_card(adj, w, sigma, alpha[w])
+            yield w, homology_dims_from_levels(levels, p, rows, walls)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

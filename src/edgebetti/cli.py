@@ -9,7 +9,10 @@ Subcommands:
 
 Graphs come either from a file (or stdin with "-") in the text or JSON
 format, or inline via --family, e.g. --family grb:5,3.  Exit codes:
-0 success, 1 at least one verification failure, 2 usage error.
+0 success, 1 at least one verification failure, 2 usage error, 141 when
+the reader closes stdout early (as in ``| head -1``): the command stops
+quietly with the code a shell reports for a tool that SIGPIPE ends
+(128 + 13).
 `main` prints every diagnostic on stderr: a refusal is one ``error:`` line
 alone, else each library warning becomes one ``warning:`` line.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import warnings
@@ -272,12 +276,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# 128 + SIGPIPE
+EXIT_CLOSED_STDOUT = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
             code = args.func(args)
+            # stdout is None when it was closed before the start
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # Point stdout at the null device, so that the flush at exit
+            # finds nothing to write to a closed pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_STDOUT
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

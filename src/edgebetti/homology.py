@@ -8,16 +8,23 @@ come from boundary-matrix ranks:
 with the reduced convention that d_0 maps every vertex to the empty face,
 so the complex {emptyset} has ~H_{-1} of dimension one and a cone has no
 reduced homology at all.  A Hochster sweep takes each Ind(G_W) relative to
-a cone inside it: for a vertex v of W, the faces that miss N(v) form the
-cone K = v * Ind(G_{W - N[v]}), so ~H_k(Ind G_W) = H_k(Ind G_W, K) and only
-the faces that meet N(v) are listed and enter the matrices (Adamaszek 2012);
-the levels still run up to alpha(G_W), the largest face of the whole
-complex, so the dimensions stay dense on -1 .. dim Ind(G_W).  A face's
-boundary row is one format in every field, the dict facet mask -> +-1, and
-a sweep builds it once and keeps it for every later complex that holds the
-face.  Ranks are exact, taken by `matrix_rank` from the top level down with
-clearing (Chen and Kerber 2011): the row of a face that leads a reduced row
-of the map above is skipped.  Leads are facet masks in every field.
+a contractible subcomplex, the star cluster SC(sigma) of an independent set
+sigma of G_W (Barmak 2013): the union of the stars of the vertices v of
+sigma, where the star of v is the set of faces that miss N(v).  Ind(G_W) is
+a flag complex, so the stars of some vertices of sigma meet in the star of
+the face they span, a cone, and by the nerve lemma SC(sigma) is homotopy
+equivalent to the simplex on sigma, so contractible.  Hence ~H_k(Ind G_W) =
+H_k(Ind G_W, SC(sigma)), and only the faces that meet N(v) for every v in
+sigma are listed and enter the matrices; sigma = {v} gives Adamaszek's
+(2012) cone v * Ind(G_{W - N[v]}).  The levels still run up to alpha(G_W),
+the largest face of the whole complex, so the dimensions stay dense on
+-1 .. dim Ind(G_W).  A face's boundary row is one format in every field, the
+dict facet mask -> +-1, and a sweep builds it once and keeps it for every
+later complex that holds the face; relative to a cluster a face loses the
+facets that miss a wall.  Ranks are exact, taken by `matrix_rank` from the
+top level down with clearing (Chen and Kerber 2011): the row of a face that
+leads a reduced row of the map above is skipped.  Leads are facet masks in
+every field.
 """
 
 from __future__ import annotations
@@ -115,26 +122,35 @@ class FieldSpec:
 
 
 def independent_sets_by_card(
-    adj: Sequence[int], vmask: int, star: int | None = None
+    adj: Sequence[int], vmask: int, sigma: int = 0, depth: int | None = None
 ) -> list[list[int]]:
-    """Independent subsets of *vmask* that meet *star*, grouped by cardinality.
+    """Independent subsets of *vmask* that miss *sigma* and meet N(v) for
+    every v in *sigma*, grouped by cardinality.
 
     ``adj`` is the ambient adjacency bitset list; masks keep ambient vertex
     numbering.  Level c lists the kept c-vertex sets in a fixed deterministic
     order (lexicographic by increasing vertex list), so a kept face comes in
-    the order the whole listing gives it.  Level 0 is always ``[0]``; the
-    levels end at the largest kept face.  *star* defaults to *vmask*, which
-    keeps every face.  While a partial face misses *star* the search only
-    goes on while a star vertex is still available; once it meets *star*
-    every extension is listed.
+    the order the whole listing gives it.  Level 0 is always ``[0]``.  The
+    levels end at the largest kept face, or at level *depth* when one is
+    given, which must be at least that size.  With *sigma* 0 every face is
+    kept.
+
+    For an independent *sigma* these are the faces of Ind(G_vmask) outside
+    the star cluster of sigma.  The search keeps the vertices of sigma that
+    the partial face does not dominate yet, and takes next only a vertex at
+    or below the highest available neighbour of each, since later choices
+    only remove vertices: a branch ends once one of them has no neighbour
+    left in ``avail``.  A vertex of sigma with one neighbour x in *vmask*
+    puts x in every kept face, so the neighbours of x are never available.
+    Once the face dominates sigma every extension is listed.
     """
-    if star is None:
-        star = vmask
-    levels: list[list[int]] = [[] for _ in range(vmask.bit_count() + 1)]
+    levels: list[list[int]] = [
+        [] for _ in range((vmask.bit_count() if depth is None else depth) + 1)
+    ]
     levels[0].append(0)
 
     def rec(mask: int, size: int, avail: int) -> None:
-        # mask meets star: list every extension
+        # mask dominates sigma: list every extension
         while avail:
             low = avail & -avail
             avail ^= low
@@ -144,23 +160,46 @@ def independent_sets_by_card(
             if rest:
                 rec(sub, size + 1, rest)
 
-    def seek(mask: int, size: int, avail: int) -> None:
-        # mask misses star: descend only while a star vertex is available
-        while avail & star:
-            low = avail & -avail
+    def seek(mask: int, size: int, avail: int, pending: int) -> None:
+        # pending: the vertices of sigma that mask does not dominate yet
+        cand = avail
+        m = pending
+        while m:
+            low = m & -m
+            m ^= low
+            cand &= (1 << (adj[low.bit_length() - 1] & avail).bit_length()) - 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
             avail ^= low
             sub = mask | low
-            rest = avail & ~adj[low.bit_length() - 1]
-            if low & star:
+            nbrs = adj[low.bit_length() - 1]
+            rest = avail & ~nbrs
+            left = pending & ~nbrs
+            if not left:
                 levels[size + 1].append(sub)
                 if rest:
                     rec(sub, size + 1, rest)
-            elif rest & star:
-                seek(sub, size + 1, rest)
+            elif rest:
+                seek(sub, size + 1, rest, left)
 
-    seek(0, 0, vmask)
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
+    if sigma:
+        avail = vmask & ~sigma
+        m = sigma
+        while m:
+            low = m & -m
+            m ^= low
+            x = adj[low.bit_length() - 1] & vmask
+            if x & (x - 1) == 0:
+                # x, the one neighbour of this vertex, is in every kept
+                # face; with no neighbour nothing is kept
+                avail &= ~adj[x.bit_length() - 1] if x else 0
+        seek(0, 0, avail, sigma)
+    else:
+        rec(0, 0, vmask)
+    if depth is None:
+        while len(levels) > 1 and not levels[-1]:
+            levels.pop()
     return levels
 
 
@@ -180,33 +219,60 @@ def independence_numbers(adj: Sequence[int]) -> list[int]:
     return alpha
 
 
-def cone_star(adj: Sequence[int], w: int) -> int:
-    """N(v) & W for the lowest vertex v of least degree in G_W, or 0 when W
-    is empty or has an isolated vertex (then Ind(G_W) is a cone).
+def isolated_vertices(adj: Sequence[int]) -> list[int]:
+    """The isolated vertices of G_W, as a mask, for every vertex mask W of
+    the graph with adjacency *adj*; Ind(G_W) is a cone just when W has one.
 
-    The faces of Ind(G_W) that miss this set form the cone
-    v * Ind(G_{W - N[v]}); the least degree leaves the fewest faces outside.
+    Doubles the table once per vertex u: in m | u, with m below u, u is
+    isolated when it has no neighbour in m, and the isolated vertices of m
+    stay so unless they are neighbours of u.
     """
-    star = 0
-    least = w.bit_count()
-    m = w
-    while m:
-        low = m & -m
-        m ^= low
-        nbrs = adj[low.bit_length() - 1] & w
-        if not nbrs:
-            return 0
-        d = nbrs.bit_count()
-        if d < least:
-            star, least = nbrs, d
-    return star
+    iso = [0]
+    for u, nbrs in enumerate(adj):
+        bit = 1 << u
+        iso += [i & ~nbrs | (0 if nbrs & m else bit) for m, i in enumerate(iso)]
+    return iso
+
+
+def greedy_order(adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The vertices of the graph with adjacency *adj* as (bit, adjacency)
+    pairs, in order of degree, the lower vertex first on a tie: the order
+    in which `star_cluster` grows sigma."""
+    ranked = sorted(range(len(adj)), key=lambda v: (adj[v].bit_count(), v))
+    return [(1 << v, adj[v]) for v in ranked]
+
+
+def star_cluster(order: Sequence[tuple[int, int]], w: int) -> tuple[int, list[int]]:
+    """A maximal independent set sigma of G_W and its walls N(v) & W, one
+    for each v in sigma, in the order they join it.
+
+    sigma is grown greedily over W in *order*, from `greedy_order`: a
+    vertex joins when none of its neighbours has, so sigma starts at the
+    vertex of W of least degree in G, and vertices of small neighbourhood,
+    which cut the most faces, come first.  The faces of Ind(G_W) that miss
+    some wall form the star cluster of sigma; the faces that meet every
+    wall form the relative complex.  A vertex that is isolated in G_W joins
+    with an empty wall, which no face meets.
+    """
+    sigma = 0
+    walls = []
+    free = w
+    for bit, nbrs in order:
+        if bit & free:
+            nbrs &= w
+            sigma |= bit
+            walls.append(nbrs)
+            free &= ~(bit | nbrs)
+            if not free:
+                break
+    return sigma, walls
 
 
 def homology_dims_from_levels(
     levels: list[list[int]],
     p: int | None,
     rows: dict[int, dict[int, int]] | None = None,
-    star: int | None = None,
+    walls: Sequence[int] = (),
 ) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
@@ -218,30 +284,31 @@ def homology_dims_from_levels(
     A sweep passes one dict for all its complexes; without one, a fresh dict
     is used.
 
-    With *star* = N(v) & W from `cone_star`, ``levels[c]`` must list the
-    c-vertex faces of Ind(G_W) that meet *star*, as
-    ``independent_sets_by_card(adj, W, star)`` gives them, and the dimensions
-    are taken relative to the cone K of the faces that miss it: a face that
-    meets *star* in one vertex x loses its facet F - x, a face of K.  Since K
-    is contractible the dimensions are those of the whole complex.  With
-    *star* None every listed face is kept, for any complex.
+    With the *walls* of `star_cluster`, the sets N(v) & W for the vertices
+    v of an independent set sigma of G_W, ``levels[c]`` must list the
+    c-vertex faces of Ind(G_W) that meet every wall, as
+    ``independent_sets_by_card(adj, W, sigma)`` gives them, and the
+    dimensions are taken relative to the star cluster SC(sigma), the faces
+    that miss some wall.  A face F loses its facet F - x exactly when x is
+    the only vertex of F in some wall: F - x misses that wall.  Since
+    SC(sigma) is contractible the dimensions are those of the whole
+    complex.  With no *walls* every listed face is kept, for any complex.
     """
     if rows is None:
         rows = {}
     top = len(levels) - 1
-    # kept[c] = number of c-vertex faces kept; the empty face misses any star
-    kept = [len(level) for level in levels]
-    if star is not None:
-        kept[0] = 0
-    # rank_out[c] = rank of the boundary map from the c-vertex faces down
-    rank_out = [0] * (top + 2)
+    # dims[c] = dim ~H_{c-1}, filled from the top level down
+    dims = [0] * (top + 1)
+    # rank of the boundary map from the level above
+    above = 0
     # A face that leads a reduced row z of the map above is a face of the
     # cycle z: d(z) = 0 writes its row below through the rows of the other
     # faces of z, all on one side of the lead.  Skipping it keeps the span.
     cleared: set[int] = set()
     for c in range(top, 0, -1):
+        level = levels[c]
         matrix = []
-        for face in levels[c]:
+        for face in level:
             if face in cleared:
                 continue
             row = rows.get(face)
@@ -255,22 +322,30 @@ def homology_dims_from_levels(
                     row[face ^ low] = sign
                     sign = -sign
                 rows[face] = row
-            if star is not None:
-                x = face & star
-                if x & (x - 1) == 0:
+            if walls:
+                drop = 0
+                for wall in walls:
+                    x = face & wall
+                    if x & (x - 1) == 0:
+                        drop |= x
+                if drop:
                     row = dict(row)
-                    del row[face ^ x]
+                    while drop:
+                        low = drop & -drop
+                        drop ^= low
+                        del row[face ^ low]
             matrix.append(row)
         leads = matrix_rank(matrix, p)
-        rank_out[c] = len(leads)
+        rank = len(leads)
+        dims[c] = len(level) - rank - above
+        above = rank
         cleared = set(leads)
-    dims: HomologyProfile = {}
-    for k in range(-1, top):
-        d = kept[k + 1] - rank_out[k + 1] - rank_out[k + 2]
+    # the empty face is kept unless the complex is relative to a cluster
+    dims[0] = (0 if walls else len(levels[0])) - above
+    for c, d in enumerate(dims):
         if d < 0:
-            raise InvariantError(f"negative homology dimension at k={k}")
-        dims[k] = d
-    return dims
+            raise InvariantError(f"negative homology dimension at k={c - 1}")
+    return dict(zip(range(-1, top), dims))
 
 
 def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyProfile:

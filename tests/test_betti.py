@@ -22,9 +22,10 @@ from edgebetti.graphs import is_chordal, is_connected, new_graph
 from edgebetti.homology import (
     FieldSpec,
     InvariantError,
-    cone_star,
     homology_dims_from_levels,
     independent_sets_by_card,
+    isolated_vertices,
+    star_cluster,
 )
 
 from oracles import naive_betti_table
@@ -258,11 +259,12 @@ def test_sweeps_in_turn_equal_fresh_calls():
     # gives.
     adj = tuple(RP2_WITNESS.adj)
     masks = range(1, 1 << RP2_WITNESS.n)
+    cones = isolated_vertices(adj)
     for p in (None, 2, None):
         fresh = [
             (w, homology_dims_from_levels(independent_sets_by_card(adj, w), p))
             for w in masks
-            if cone_star(adj, w)
+            if not cones[w]
         ]
         assert list(_hochster_terms(adj, masks, p)) == fresh, p
 
@@ -324,13 +326,33 @@ def test_hilbert_equals_k_polynomial_randomized():
         assert k_polynomial(betti_table(g)) == hilbert_numerator(g)
 
 
+def test_cluster_of_a_non_simplex_raises(monkeypatch):
+    # The star cluster is contractible because sigma is a simplex of
+    # Ind(G_W).  Add to sigma a neighbour u of its first vertex, with the
+    # wall N(u) & W: sigma is then no simplex, the listing and the dropped
+    # facets follow the widened sigma, and the dimensions are no longer
+    # those of Ind(G_W).  The Hilbert check sees it.
+    g = g_rb(3, 2)
+
+    def widened(order, w):
+        sigma, walls = star_cluster(order, w)
+        u = walls[0] & -walls[0]
+        return sigma | u, walls + [g.adj[u.bit_length() - 1] & w]
+
+    monkeypatch.setattr(betti, "star_cluster", widened)
+    with pytest.raises(InvariantError, match="Hilbert numerator"):
+        betti_table(g)
+
+
 def test_table_with_a_dropped_face_raises(monkeypatch):
-    # A listing that loses one face of its top level still gets dimensions
-    # f - r - r that satisfy the Euler identity of the shortened listing, so
-    # only the table-level Hilbert check sees the lost face.
-    def dropped(adj, w, star):
-        levels = independent_sets_by_card(adj, w, star)
-        levels[-1] = levels[-1][1:]
+    # A listing that loses one face of its top nonempty level (the sweep
+    # pads the levels to alpha) still gets dimensions f - r - r that satisfy
+    # the Euler identity of the shortened listing, so only the table-level
+    # Hilbert check sees the lost face.
+    def dropped(adj, w, sigma, depth):
+        levels = independent_sets_by_card(adj, w, sigma, depth)
+        top = max(c for c, level in enumerate(levels) if level)
+        levels[top] = levels[top][1:]
         return levels
 
     monkeypatch.setattr(betti, "independent_sets_by_card", dropped)

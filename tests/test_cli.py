@@ -496,6 +496,32 @@ def test_console_script_installed():
     assert proc.stderr.startswith("error:")
 
 
+def test_closed_stdout_stops_quietly():
+    # `verify support --trees-upto 9 | head -1`: the reader closes the pipe
+    # after the first report, and the sweep stops with no error line, no
+    # traceback, and the exit code a shell gives a tool that SIGPIPE ends.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "edgebetti", "verify", "support", "--trees-upto", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+    assert json.loads(first)["claim"] == "cert-support"
+    # a stdout closed before the start has nothing to break: exit 0, quietly
+    closed = subprocess.run(
+        ["sh", "-c", f'"{sys.executable}" -m edgebetti betti --family grb:2,2 >&-'],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (closed.returncode, closed.stderr) == (0, "")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "edgebetti", "betti", "--family", "path-star:1"],

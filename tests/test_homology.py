@@ -14,11 +14,13 @@ from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     MAX_SWEEP_VERTICES,
     FieldSpec,
-    cone_star,
     homology_dims_from_levels,
     independence_numbers,
     independent_sets_by_card,
+    greedy_order,
+    isolated_vertices,
     reduced_homology_dims,
+    star_cluster,
 )
 
 from oracles import face_levels, independent_subsets, naive_homology_dims
@@ -70,9 +72,19 @@ def test_independent_sets_by_card_path():
     # restricted to a sub-mask the ambient numbering is kept
     levels = independent_sets_by_card(g.adj, 0b110)
     assert levels == [[0], [0b010, 0b100]]
-    # only the faces that meet the star; the levels end at the largest one
-    assert independent_sets_by_card(g.adj, 0b111, 0b100) == [[0], [0b100], [0b101]]
-    assert independent_sets_by_card(g.adj, 0b111, 0b010) == [[0], [0b010]]
+    # only the faces that miss sigma and meet N(v) for every v in sigma; the
+    # levels end at the largest one
+    assert independent_sets_by_card(g.adj, 0b111, 0b010) == [[0], [0b001, 0b100], [0b101]]
+    assert independent_sets_by_card(g.adj, 0b111, 0b001) == [[0], [0b010]]
+    # sigma = {0, 2} is the path's star cluster simplex: both walls are N(1)
+    assert star_cluster(greedy_order(g.adj), 0b111) == (0b101, [0b010, 0b010])
+    assert independent_sets_by_card(g.adj, 0b111, 0b101) == [[0], [0b010]]
+    # with a depth the levels run to it, padded with empty ones
+    assert independent_sets_by_card(g.adj, 0b111, 0b001, 2) == [[0], [0b010], []]
+    # in the path 0-1-2-3, sigma = {0, 3} needs both 1 and 2, which are
+    # adjacent: nothing is kept
+    p4 = new_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert independent_sets_by_card(p4.adj, 0b1111, 0b1001) == [[0]]
 
 
 def test_independent_sets_match_oracle():
@@ -88,17 +100,26 @@ def test_independent_sets_match_oracle():
         assert got == expected
 
 
-def test_cone_star():
+def test_star_cluster():
     # path 0-1-2-3 plus the pendant edge 1-4
     g = new_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-    # vertices 0, 3 and 4 have one neighbour each: the lowest, 0, is taken
-    assert cone_star(g.adj, 0b11111) == 0b00010
+    order = greedy_order(g.adj)
+    assert [bit for bit, _ in order] == [0b00001, 0b01000, 0b10000, 0b00100, 0b00010]
+    # vertices 0, 3 and 4 have one neighbour each: the lowest, 0, starts
+    # sigma, then 3 and 4 join it in that order; sigma = {0, 3, 4} is a
+    # maximal independent set and its walls are N(0), N(3) and N(4)
+    assert star_cluster(order, 0b11111) == (0b11001, [0b00010, 0b00100, 0b00010])
     # in W = {1, 2, 3, 4} vertices 3 and 4 have one neighbour each (2 and 1),
-    # vertices 1 and 2 two: vertex 3 is taken
-    assert cone_star(g.adj, 0b11110) == 0b00100
-    # vertex 3 is isolated in W = {0, 1, 3}, and W = {} has no vertex
-    assert cone_star(g.adj, 0b01011) == 0
-    assert cone_star(g.adj, 0) == 0
+    # vertices 1 and 2 more: vertex 3 starts sigma, and 4 joins it
+    assert star_cluster(order, 0b11110) == (0b11000, [0b00100, 0b00010])
+    # vertex 3 is isolated in W = {0, 1, 3}, so Ind(G_W) is a cone, and
+    # W = {} has no vertex
+    cones = isolated_vertices(g.adj)
+    assert cones[0b01011] == 0b01000
+    assert cones[0] == 0
+    assert [w for w in range(1, 32) if not cones[w]] == [
+        w for w in range(1, 32) if all(g.adj[v] & w for v in iter_bits(w))
+    ]
 
 
 def test_independence_complex_small():
@@ -208,7 +229,7 @@ def test_cycle_homology_matches_kozlov_up_to_the_cap():
         for p in (None, 2, 3):
             dims = reduced_homology_dims(cycle, FieldSpec(p))
             assert {d: v for d, v in dims.items() if v} == expected, (n, p)
-            # the sweep takes the same complex relative to its cone star
+            # the sweep takes the same complex relative to its star cluster
             relative = dict(betti._hochster_terms(tuple(cycle.adj), [full], p))[full]
             assert relative == dims, (n, p)
 
@@ -236,17 +257,20 @@ def _induced(adj, w):
     return tuple(sum(1 << pos[u] for u in iter_bits(adj[v] & w)) for v in pos)
 
 
-def _full_rank(levels, c, p, star=None):
+def _renumbered(w, mask):
+    """*mask*, a subset of *w*, with w renumbered as in `_induced`."""
+    return sum(1 << k for k, v in enumerate(iter_bits(w)) if mask >> v & 1)
+
+
+def _full_rank(levels, c, p, walls=()):
     """Rank of the boundary map from the c-vertex faces, every row built.
 
-    With a *star*, of the map relative to the faces that miss it: the rows
-    and columns are the faces that meet it, and a facet that misses it is
-    left out of its row.
+    With *walls*, of the map relative to the faces that miss some wall: the
+    rows and columns are the faces that meet every wall, and a facet that
+    misses a wall is left out of its row.
     """
     below, faces = (
-        (levels[c - 1], levels[c])
-        if star is None
-        else ([m for m in levels[d] if m & star] for d in (c - 1, c))
+        [m for m in levels[d] if all(m & wall for wall in walls)] for d in (c - 1, c)
     )
     index = {m: t for t, m in enumerate(below)}
     rows = [
@@ -273,30 +297,33 @@ def _oracle_source_graphs():
 
 
 def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
-    # A sweep lists, for each non-cone W, only the faces that meet its cone
-    # star, in the order of the whole listing, and pads the levels up to
-    # alpha(G_W) so that the level count, and with it the rank calls and the
-    # dense dims, stay those of the whole complex.  The levels are read where
-    # the sweep hands them on.
+    # A sweep lists, for each non-cone W, only the faces that meet every wall
+    # of its star cluster, in the order of the whole listing, and pads the
+    # levels up to alpha(G_W) so that the level count, and with it the rank
+    # calls and the dense dims, stay those of the whole complex.  The levels
+    # are read where the sweep hands them on.
     handed = []
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
-        lambda levels, p, rows, star: handed.append((levels, star)) or {},
+        lambda levels, p, rows, walls: handed.append((levels, walls)) or {},
     )
     subsets = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
+        order = greedy_order(adj)
         whole = [independent_sets_by_card(adj, w) for w in range(1 << g.n)]
         assert alpha == [len(levels) - 1 for levels in whole]
         handed.clear()
         swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
         assert len(swept) == len(handed)
-        for w, (levels, star) in zip(swept, handed):
-            assert star == cone_star(adj, w)
+        for w, (levels, walls) in zip(swept, handed):
+            assert walls == star_cluster(order, w)[1]
             assert len(levels) == len(whole[w]), (adj, w)
-            assert levels == [[0]] + [[f for f in level if f & star] for level in whole[w][1:]]
+            assert levels == [[0]] + [
+                [f for f in level if all(f & wall for wall in walls)] for level in whole[w][1:]
+            ]
         subsets += len(swept)
     assert subsets > 25_000
 
@@ -308,23 +335,20 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # every level with the rank of the whole matrix.  Inputs: every non-cone
     # subset of every chordal graph up to 7 vertices and of 40 random graphs
     # up to 9 (each induced graph once), the RP^2 witness and Ind(C_n) for
-    # n <= 12.  Then
-    # every source graph runs its non-cone subsets again in mask order
-    # through one shared dict of rows per field, as a Hochster sweep does, so
-    # that a row kept under one complex must also be right in the next.
-    # Each subset of the sweeps is taken whole, and relative to the cone of
-    # its `cone_star` from the faces that meet the star, as the sweep lists
-    # them, padded to the whole listing's length, through the same dict: the
-    # relative ranks must equal those of the relative matrix, level by level,
-    # and the dimensions must equal the whole complex's.
+    # n <= 12.  Then every source graph runs its non-cone subsets again in
+    # mask order through one shared dict of rows per field, as a Hochster
+    # sweep does, so that a row kept under one complex must also be right in
+    # the next.  Each subset of the sweeps is taken whole, and relative to
+    # the star cluster of its `star_cluster` sigma from the faces that meet
+    # every wall, as the sweep lists them, padded to the whole listing's
+    # length, through the same dict: the relative ranks must equal those of
+    # the relative matrix, level by level, and the dimensions must equal the
+    # whole complex's.
     graphs = set()
     sweeps = []  # per source graph: its non-cone subsets W in mask order, with G_W
     for g in _oracle_source_graphs():
-        subsets = [
-            (w, _induced(g.adj, w))
-            for w in range(1, 1 << g.n)
-            if cone_star(g.adj, w)
-        ]
+        cones = isolated_vertices(g.adj)
+        subsets = [(w, _induced(g.adj, w)) for w in range(1, 1 << g.n) if not cones[w]]
         sweeps.append((g.adj, subsets))
         graphs.update(induced for _, induced in subsets)
     graphs.add(tuple(RP2_WITNESS.adj))
@@ -342,43 +366,98 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
 
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
 
-    def check(levels, p, rows, full, where, star=None):
+    def check(levels, p, rows, full, where, walls=()):
         calls.clear()
-        dims = homology_dims_from_levels(levels, p, rows, star)
+        dims = homology_dims_from_levels(levels, p, rows, walls)
         top = len(levels) - 1
         assert len(calls) == top, where
         above = 0
         for c, (rows, rank), want in zip(range(top, 0, -1), calls, full):
-            kept = len(levels[c]) if star is None else sum(1 for f in levels[c] if f & star)
+            kept = sum(1 for f in levels[c] if all(f & wall for wall in walls))
             assert rows == kept - above, (where, c)
             assert rank == want, (where, c)
             above = rank
         return dims
 
     fields = (None, 2, 3)
-    full, relative = {}, {}
+    full, relative, whole_listing = {}, {}, {}
     for adj in sorted(graphs):
         everything = (1 << len(adj)) - 1
-        levels = independent_sets_by_card(adj, everything)
-        star = cone_star(adj, everything)
+        levels = whole_listing[adj] = independent_sets_by_card(adj, everything)
         for p in fields:
             tops = range(len(levels) - 1, 0, -1)
             full[adj, p] = [_full_rank(levels, c, p) for c in tops]
-            relative[adj, p] = [_full_rank(levels, c, p, star) for c in tops]
             check(levels, p, None, full[adj, p], (adj, p))
     assert len(graphs) > 1500
     for adj, subsets in sweeps:
         kept_rows = {p: {} for p in fields}
+        order = greedy_order(adj)
         for w, induced in subsets:
             levels = independent_sets_by_card(adj, w)
-            star = cone_star(adj, w)
-            met = independent_sets_by_card(adj, w, star)
-            met += [[]] * (len(levels) - len(met))
+            sigma, walls = star_cluster(order, w)
+            met = independent_sets_by_card(adj, w, sigma, len(levels) - 1)
+            # sigma follows the degrees in the source graph, so the relative
+            # ranks are keyed by G_W and sigma, both renumbered
+            key = induced, _renumbered(w, sigma)
+            if (key, None) not in relative:
+                whole = whole_listing[induced]
+                inner = [induced[v] for v in iter_bits(key[1])]
+                for p in fields:
+                    tops = range(len(whole) - 1, 0, -1)
+                    relative[key, p] = [_full_rank(whole, c, p, inner) for c in tops]
             for p, rows in kept_rows.items():
                 whole = check(levels, p, rows, full[induced, p], (adj, w, p))
-                where = (adj, w, p, star)
-                assert check(met, p, rows, relative[induced, p], where, star) == whole, where
+                where = (adj, w, p, walls)
+                assert check(met, p, rows, relative[key, p], where, walls) == whole, where
     assert sum(len(subsets) for _, subsets in sweeps) > 25_000
+
+
+def test_every_maximal_sigma_gives_the_whole_homology():
+    # Barmak: the star cluster of a simplex of a flag complex is
+    # contractible, so any maximal independent set sigma of G_W will do, not
+    # only the one `star_cluster` picks.  For every non-cone W of every
+    # chordal graph up to 6 vertices, of 40 random graphs up to 8 and of the
+    # RP^2 witness, and for every maximal independent set sigma of G_W, the
+    # listing relative to sigma is the filtered whole listing, and its
+    # dimensions are those of the whole complex in QQ, GF(2) and GF(3).
+    rng = random.Random(20)
+    randoms = []
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        randoms.append(new_graph(n, edges))
+    sources = [h for n in range(1, 7) for h in all_chordal_graphs(n)] + randoms + [RP2_WITNESS]
+    fields = (None, 2, 3)
+    expected = {}
+    clusters = 0
+    for g in sources:
+        adj = tuple(g.adj)
+        cones = isolated_vertices(adj)
+        for w in range(1, 1 << g.n):
+            if cones[w]:
+                continue
+            induced = _induced(adj, w)
+            if induced not in expected:
+                edges = [(u, v) for u, nbrs in enumerate(induced) for v in iter_bits(nbrs) if u < v]
+                h = new_graph(len(induced), edges)
+                expected[induced] = [reduced_homology_dims(h, FieldSpec(p)) for p in fields]
+            whole = independent_sets_by_card(adj, w)
+            maximal = [
+                f
+                for level in whole
+                for f in level
+                if all(adj[v] & f for v in iter_bits(w & ~f))
+            ]
+            for sigma in maximal:
+                walls = [adj[v] & w for v in iter_bits(sigma)]
+                levels = independent_sets_by_card(adj, w, sigma, len(whole) - 1)
+                assert levels == [[0]] + [
+                    [f for f in level if all(f & wall for wall in walls)] for level in whole[1:]
+                ], (adj, w, sigma)
+                got = [homology_dims_from_levels(levels, p, None, walls) for p in fields]
+                assert got == expected[induced], (adj, w, sigma)
+                clusters += 1
+    assert clusters > 30_000
 
 
 def test_cone_has_no_reduced_homology():
