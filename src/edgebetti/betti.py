@@ -99,15 +99,13 @@ def _hochster_terms(
     every v in sigma are listed, and a face loses its facet F - x when x is
     its only vertex in some N(v).  The listing runs to alpha(G_W), read from
     one `independence_numbers` table per sweep, so that the dims stay dense
-    on -1 .. dim Ind(G_W) and each level still gets its one rank call.  A
-    face keeps its boundary row in every Ind(G_W) that holds it, so the
-    sweep builds each row once, in one dict face mask -> row that ends with
-    the sweep.  This is the one place where a complex is taken relative to
-    a cluster; `reduced_homology_dims` takes the whole complex.
+    on -1 .. dim Ind(G_W) and each level still gets its one rank call.
+    Only those tables and the order pass from one subset to the next.  This
+    is the one place where a complex is taken relative to a cluster;
+    `reduced_homology_dims` takes the whole complex.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
-    rows: dict[int, dict[int, int]] = {}
     alpha = independence_numbers(adj)
     cones = isolated_vertices(adj)
     order = greedy_order(adj)
@@ -115,7 +113,7 @@ def _hochster_terms(
         if w and not cones[w]:
             sigma, walls = star_cluster(order, w)
             levels = independent_sets_by_card(adj, w, sigma, alpha[w])
-            yield w, homology_dims_from_levels(levels, p, rows, walls)
+            yield w, homology_dims_from_levels(levels, p, walls)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

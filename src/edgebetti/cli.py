@@ -9,10 +9,11 @@ Subcommands:
 
 Graphs come either from a file (or stdin with "-") in the text or JSON
 format, or inline via --family, e.g. --family grb:5,3.  Exit codes:
-0 success, 1 at least one verification failure, 2 usage error, 141 when
-the reader closes stdout early (as in ``| head -1``): the command stops
-quietly with the code a shell reports for a tool that SIGPIPE ends
-(128 + 13).
+0 success, 1 at least one verification failure, 2 usage error (a path
+that cannot be opened included), 74 when the output cannot be written, as
+on a full disk (EX_IOERR of sysexits.h), 141 when the reader closes stdout
+early (as in ``| head -1``): the command stops quietly with the code a
+shell reports for a tool that SIGPIPE ends (128 + 13).
 `main` prints every diagnostic on stderr: a refusal is one ``error:`` line
 alone, else each library warning becomes one ``warning:`` line.
 """
@@ -296,7 +297,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CLOSED_STDOUT
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            # An OSError that names a path comes from opening a file that
+            # the command line gave; one that names none, from an open
+            # stream, as a write to a full disk: EX_IOERR of sysexits.h.
+            return 74 if isinstance(exc, OSError) and exc.filename is None else 2
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return code

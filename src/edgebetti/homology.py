@@ -19,12 +19,11 @@ sigma are listed and enter the matrices; sigma = {v} gives Adamaszek's
 (2012) cone v * Ind(G_{W - N[v]}).  The levels still run up to alpha(G_W),
 the largest face of the whole complex, so the dimensions stay dense on
 -1 .. dim Ind(G_W).  A face's boundary row is one format in every field, the
-dict facet mask -> +-1, and a sweep builds it once and keeps it for every
-later complex that holds the face; relative to a cluster a face loses the
-facets that miss a wall.  Ranks are exact, taken by `matrix_rank` from the
-top level down with clearing (Chen and Kerber 2011): the row of a face that
-leads a reduced row of the map above is skipped.  Leads are facet masks in
-every field.
+dict facet mask -> +-1, built afresh for each complex; relative to a
+cluster a face leaves out the facets that miss a wall.  Ranks are exact,
+taken by `matrix_rank` from the top level down with clearing (Chen and
+Kerber 2011): the row of a face that leads a reduced row of the map above
+is skipped.  Leads are facet masks in every field.
 """
 
 from __future__ import annotations
@@ -132,33 +131,21 @@ def independent_sets_by_card(
     order (lexicographic by increasing vertex list), so a kept face comes in
     the order the whole listing gives it.  Level 0 is always ``[0]``.  The
     levels end at the largest kept face, or at level *depth* when one is
-    given, which must be at least that size.  With *sigma* 0 every face is
-    kept.
+    given, which must be at least that size.
 
     For an independent *sigma* these are the faces of Ind(G_vmask) outside
-    the star cluster of sigma.  The search keeps the vertices of sigma that
-    the partial face does not dominate yet, and takes next only a vertex at
-    or below the highest available neighbour of each, since later choices
-    only remove vertices: a branch ends once one of them has no neighbour
-    left in ``avail``.  A vertex of sigma with one neighbour x in *vmask*
-    puts x in every kept face, so the neighbours of x are never available.
-    Once the face dominates sigma every extension is listed.
+    the star cluster of sigma.  One search lists them: it keeps the
+    vertices of sigma that the partial face does not dominate yet, and
+    takes next only a vertex at or below the highest available neighbour
+    of each, since later choices only remove vertices: a branch ends once
+    one of them has no neighbour left in ``avail``.  Once the face
+    dominates sigma nothing is pending and every extension is listed, so
+    with *sigma* 0 every face is kept.
     """
     levels: list[list[int]] = [
         [] for _ in range((vmask.bit_count() if depth is None else depth) + 1)
     ]
     levels[0].append(0)
-
-    def rec(mask: int, size: int, avail: int) -> None:
-        # mask dominates sigma: list every extension
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            sub = mask | low
-            levels[size + 1].append(sub)
-            rest = avail & ~adj[low.bit_length() - 1]
-            if rest:
-                rec(sub, size + 1, rest)
 
     def seek(mask: int, size: int, avail: int, pending: int) -> None:
         # pending: the vertices of sigma that mask does not dominate yet
@@ -178,25 +165,10 @@ def independent_sets_by_card(
             left = pending & ~nbrs
             if not left:
                 levels[size + 1].append(sub)
-                if rest:
-                    rec(sub, size + 1, rest)
-            elif rest:
+            if rest:
                 seek(sub, size + 1, rest, left)
 
-    if sigma:
-        avail = vmask & ~sigma
-        m = sigma
-        while m:
-            low = m & -m
-            m ^= low
-            x = adj[low.bit_length() - 1] & vmask
-            if x & (x - 1) == 0:
-                # x, the one neighbour of this vertex, is in every kept
-                # face; with no neighbour nothing is kept
-                avail &= ~adj[x.bit_length() - 1] if x else 0
-        seek(0, 0, avail, sigma)
-    else:
-        rec(0, 0, vmask)
+    seek(0, 0, vmask & ~sigma, sigma)
     if depth is None:
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
@@ -271,7 +243,6 @@ def star_cluster(order: Sequence[tuple[int, int]], w: int) -> tuple[int, list[in
 def homology_dims_from_levels(
     levels: list[list[int]],
     p: int | None,
-    rows: dict[int, dict[int, int]] | None = None,
     walls: Sequence[int] = (),
 ) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
@@ -279,10 +250,8 @@ def homology_dims_from_levels(
     ``levels[c]`` must list the c-vertex faces; ``levels[0] == [0]``.  Returns
     a dense map k -> dim ~H_k for k = -1 .. dim.  Coefficients are QQ when
     *p* is None, GF(p) otherwise.  A face's boundary row is the dict facet
-    mask -> +-1 in every field; it is taken from *rows*, face mask -> row,
-    and built and stored there only when *rows* has not met the face before.
-    A sweep passes one dict for all its complexes; without one, a fresh dict
-    is used.
+    mask -> +-1 in every field, built here for every listed face that
+    clearing does not skip.
 
     With the *walls* of `star_cluster`, the sets N(v) & W for the vertices
     v of an independent set sigma of G_W, ``levels[c]`` must list the
@@ -290,12 +259,11 @@ def homology_dims_from_levels(
     ``independent_sets_by_card(adj, W, sigma)`` gives them, and the
     dimensions are taken relative to the star cluster SC(sigma), the faces
     that miss some wall.  A face F loses its facet F - x exactly when x is
-    the only vertex of F in some wall: F - x misses that wall.  Since
-    SC(sigma) is contractible the dimensions are those of the whole
-    complex.  With no *walls* every listed face is kept, for any complex.
+    the only vertex of F in some wall: F - x misses that wall, and the row
+    of F is built without it.  Since SC(sigma) is contractible the
+    dimensions are those of the whole complex.  With no *walls* every
+    listed face is kept, for any complex.
     """
-    if rows is None:
-        rows = {}
     top = len(levels) - 1
     # dims[c] = dim ~H_{c-1}, filled from the top level down
     dims = [0] * (top + 1)
@@ -311,29 +279,20 @@ def homology_dims_from_levels(
         for face in level:
             if face in cleared:
                 continue
-            row = rows.get(face)
-            if row is None:
-                row = {}
-                sign = 1
-                m = face
-                while m:
-                    low = m & -m
-                    m ^= low
+            drop = 0
+            for wall in walls:
+                x = face & wall
+                if x & (x - 1) == 0:
+                    drop |= x
+            row = {}
+            sign = 1
+            m = face
+            while m:
+                low = m & -m
+                m ^= low
+                if not low & drop:
                     row[face ^ low] = sign
-                    sign = -sign
-                rows[face] = row
-            if walls:
-                drop = 0
-                for wall in walls:
-                    x = face & wall
-                    if x & (x - 1) == 0:
-                        drop |= x
-                if drop:
-                    row = dict(row)
-                    while drop:
-                        low = drop & -drop
-                        drop ^= low
-                        del row[face ^ low]
+                sign = -sign
             matrix.append(row)
         leads = matrix_rank(matrix, p)
         rank = len(leads)

@@ -6,14 +6,13 @@ coefficient (boundary matrices have entries in {-1, +1}).
 ``matrix_rank`` is one online echelon for every field.  Each row is reduced
 against the pivot rows stored so far, which are keyed by their highest
 column; a row that does not reduce to zero becomes the next pivot.  Over
-GF(2) a row is the set of its odd columns and reduces by symmetric
-difference.  Over GF(p) every entry is reduced mod p, and pivots are scaled
+GF(p), p = 2 included, every entry is reduced mod p, and pivots are scaled
 to lead with 1.  Over the rationals a lead of +-1 keeps the pivot in plain
 ints, which for simplicial boundary matrices is almost always the case; any
 other lead is divided out as an exact ``Fraction``, so the result is exact
-in every case.  A row whose entries are all +-1 is taken as it is: its set
-of columns over GF(2), its entries unreduced over GF(p).  The work is
-deterministic: rows are taken in the order given, and copied, never changed.
+in every case.  A row whose entries are all +-1 is taken as it is, with no
+mod-p copy over GF(p).  The work is deterministic: rows are taken in the
+order given, and copied, never changed.
 
 It returns the lead columns of the echelon, the highest column of each
 reduced row, so the rank is their count.  The set of leads depends only on
@@ -32,21 +31,6 @@ _UNITS = frozenset((1, -1))
 def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
     """Lead columns (highest) of an integer matrix over QQ (p None) or GF(p),
     p prime."""
-    if p == 2:
-        odd: dict[int, set[int]] = {}
-        for row in rows:
-            if _UNITS.issuperset(row.values()):
-                s = set(row)
-            else:
-                s = {c for c, v in row.items() if v % 2}
-            while s:
-                c = max(s)
-                piv = odd.get(c)
-                if piv is None:
-                    odd[c] = s
-                    break
-                s ^= piv
-        return list(odd)
     pivots: dict[int, Row] = {}
     for row in rows:
         if p is None or _UNITS.issuperset(row.values()):

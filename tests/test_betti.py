@@ -254,9 +254,9 @@ def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
 
 
 def test_sweeps_in_turn_equal_fresh_calls():
-    # Each sweep keeps its own dict of boundary rows: QQ, then GF(2), then QQ
-    # again over the RP^2 witness give, subset by subset, what a fresh dict
-    # gives.
+    # A sweep carries nothing from one subset or one sweep to the next: QQ,
+    # then GF(2), then QQ again over the RP^2 witness give, subset by
+    # subset, what fresh calls on each W give.
     adj = tuple(RP2_WITNESS.adj)
     masks = range(1, 1 << RP2_WITNESS.n)
     cones = isolated_vertices(adj)

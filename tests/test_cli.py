@@ -522,6 +522,31 @@ def test_closed_stdout_stops_quietly():
     assert (closed.returncode, closed.stderr) == (0, "")
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_write_has_its_own_exit_code():
+    # A write that fails, as on a full disk, is not a usage error: one error
+    # line and exit code 74.  A path that cannot be opened stays exit 2.
+    def cli(*argv, stdout):
+        return subprocess.run(
+            [sys.executable, "-m", "edgebetti", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+
+    with open("/dev/full", "w") as full:
+        for argv in (("betti", "--family", "grb:2,2"), ("gen", "grb", "2", "2")):
+            proc = cli(*argv, stdout=full)
+            assert proc.returncode == 74, argv
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        proc = cli("gen", "grb", "2", "2", "-o", "/dev/full", stdout=subprocess.DEVNULL)
+        assert proc.returncode == 74
+    proc = cli("gen", "grb", "2", "2", "-o", "/nonexistent/x", stdout=subprocess.DEVNULL)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "edgebetti", "betti", "--family", "path-star:1"],

@@ -112,6 +112,16 @@ def test_star_cluster():
     # in W = {1, 2, 3, 4} vertices 3 and 4 have one neighbour each (2 and 1),
     # vertices 1 and 2 more: vertex 3 starts sigma, and 4 joins it
     assert star_cluster(order, 0b11110) == (0b11000, [0b00100, 0b00010])
+    # Vertex 0's only neighbour is 1, so every face kept relative to
+    # sigma = {0} holds vertex 1 and none of 0, 2 and 4: {1} and {1, 3}.
+    # Vertex 3's only neighbour is 2, which leaves {2} with any of 0 and 4.
+    # Relative to the greedy sigma = {0, 3, 4} a kept face would hold both 1
+    # and 2, an edge, so only the empty face is kept, padded to alpha = 3.
+    assert independent_sets_by_card(g.adj, 0b11111, 0b00001) == [[0], [0b00010], [0b01010]]
+    assert independent_sets_by_card(g.adj, 0b11111, 0b01000) == [
+        [0], [0b00100], [0b00101, 0b10100], [0b10101]
+    ]
+    assert independent_sets_by_card(g.adj, 0b11111, 0b11001, 3) == [[0], [], [], []]
     # vertex 3 is isolated in W = {0, 1, 3}, so Ind(G_W) is a cone, and
     # W = {} has no vertex
     cones = isolated_vertices(g.adj)
@@ -306,9 +316,9 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
-        lambda levels, p, rows, walls: handed.append((levels, walls)) or {},
+        lambda levels, p, walls: handed.append((levels, walls)) or {},
     )
-    subsets = 0
+    subsets = one_neighbour = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
@@ -324,8 +334,13 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
             assert levels == [[0]] + [
                 [f for f in level if all(f & wall for wall in walls)] for level in whole[w][1:]
             ]
+            # a vertex of sigma with one neighbour x in W puts x in every
+            # kept face, so no neighbour of x is ever listed with it
+            one_neighbour += any(wall.bit_count() == 1 for wall in walls)
         subsets += len(swept)
     assert subsets > 25_000
+    # 22256 of the 29624 subsets have such a vertex
+    assert one_neighbour > 20_000
 
 
 def test_cleared_ranks_equal_full_ranks(monkeypatch):
@@ -335,13 +350,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     # every level with the rank of the whole matrix.  Inputs: every non-cone
     # subset of every chordal graph up to 7 vertices and of 40 random graphs
     # up to 9 (each induced graph once), the RP^2 witness and Ind(C_n) for
-    # n <= 12.  Then every source graph runs its non-cone subsets again in
-    # mask order through one shared dict of rows per field, as a Hochster
-    # sweep does, so that a row kept under one complex must also be right in
-    # the next.  Each subset of the sweeps is taken whole, and relative to
-    # the star cluster of its `star_cluster` sigma from the faces that meet
-    # every wall, as the sweep lists them, padded to the whole listing's
-    # length, through the same dict: the relative ranks must equal those of
+    # n <= 12.  Then every non-cone subset of every source graph is taken
+    # whole, and relative to the star cluster of its `star_cluster` sigma
+    # from the faces that meet every wall, as the sweep lists them, padded
+    # to the whole listing's length: the relative ranks must equal those of
     # the relative matrix, level by level, and the dimensions must equal the
     # whole complex's.
     graphs = set()
@@ -366,9 +378,9 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
 
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
 
-    def check(levels, p, rows, full, where, walls=()):
+    def check(levels, p, full, where, walls=()):
         calls.clear()
-        dims = homology_dims_from_levels(levels, p, rows, walls)
+        dims = homology_dims_from_levels(levels, p, walls)
         top = len(levels) - 1
         assert len(calls) == top, where
         above = 0
@@ -387,10 +399,9 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
         for p in fields:
             tops = range(len(levels) - 1, 0, -1)
             full[adj, p] = [_full_rank(levels, c, p) for c in tops]
-            check(levels, p, None, full[adj, p], (adj, p))
+            check(levels, p, full[adj, p], (adj, p))
     assert len(graphs) > 1500
     for adj, subsets in sweeps:
-        kept_rows = {p: {} for p in fields}
         order = greedy_order(adj)
         for w, induced in subsets:
             levels = independent_sets_by_card(adj, w)
@@ -405,10 +416,10 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
                 for p in fields:
                     tops = range(len(whole) - 1, 0, -1)
                     relative[key, p] = [_full_rank(whole, c, p, inner) for c in tops]
-            for p, rows in kept_rows.items():
-                whole = check(levels, p, rows, full[induced, p], (adj, w, p))
+            for p in fields:
+                whole = check(levels, p, full[induced, p], (adj, w, p))
                 where = (adj, w, p, walls)
-                assert check(met, p, rows, relative[key, p], where, walls) == whole, where
+                assert check(met, p, relative[key, p], where, walls) == whole, where
     assert sum(len(subsets) for _, subsets in sweeps) > 25_000
 
 
@@ -454,7 +465,7 @@ def test_every_maximal_sigma_gives_the_whole_homology():
                 assert levels == [[0]] + [
                     [f for f in level if all(f & wall for wall in walls)] for level in whole[1:]
                 ], (adj, w, sigma)
-                got = [homology_dims_from_levels(levels, p, None, walls) for p in fields]
+                got = [homology_dims_from_levels(levels, p, walls) for p in fields]
                 assert got == expected[induced], (adj, w, sigma)
                 clusters += 1
     assert clusters > 30_000
