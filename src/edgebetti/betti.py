@@ -7,7 +7,11 @@ its edge ideal, Hochster's formula gives
 
 where Ind(G_W) is the independence complex of the induced subgraph on W.  The
 sweep over subsets skips any W whose induced subgraph has an isolated vertex:
-the complex is then a cone and contributes nothing.  Each remaining subset
+the complex is then a cone and contributes nothing.  It also skips any W
+that the leaf chain closes: while the vertex set r (W at first) has a vertex
+u with one neighbour x in r, Ind(G_r) is the suspension of Ind(G_{r - N[x]})
+by the fold lemma (Engstrom 2009), so r gives way to r - N[x], and a chain
+that ends at a cone leaves Ind(G_W) contractible.  Each remaining subset
 gets an exact rank computation per boundary map, relative to the star
 cluster of a maximal independent set of G_W, a contractible subcomplex.
 
@@ -85,15 +89,21 @@ def _hochster_terms(
     adj: Sequence[int], masks: Iterable[int], p: int | None
 ) -> Iterator[tuple[int, HomologyProfile]]:
     """(W, reduced homology dims of Ind(G_W)) for every nonempty W in *masks*
-    whose complex is not a cone; cones have no reduced homology and are
-    skipped.
+    whose complex is neither a cone nor closed by the leaf chain; both kinds
+    are contractible, have no reduced homology and are skipped.
 
     This is the only loop over vertex subsets: every sweep goes through it,
     and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
     subset.  A table of isolated vertices per mask, built once per sweep
-    by `isolated_vertices`, finds the cones.  Each other complex is taken
-    relative to the star cluster SC(sigma) of the maximal independent set
-    sigma that `star_cluster` grows over W in one `greedy_order` per sweep.
+    by `isolated_vertices`, finds the cones.  The leaf chain starts at
+    r = W and, while the lowest vertex of r with exactly one neighbour x
+    in r exists, replaces r by r - N[x]: Ind(G_r) is the suspension of
+    Ind(G_{r - N[x]}).  It ends at a cone, which closes W, or at an r with
+    no such vertex, which keeps it.  The empty set is no cone, and Ind of
+    the empty graph suspended is a sphere, so a chain that ends there keeps
+    W (P3 is one).  Each kept complex is taken relative to the star cluster
+    SC(sigma) of the maximal independent set sigma that `star_cluster`
+    grows over W in one `greedy_order` per sweep.
     SC(sigma) is contractible (Barmak 2013), so the relative homology is
     the reduced homology of Ind(G_W).  Only the faces that meet N(v) for
     every v in sigma are listed, and a face loses its facet F - x when x is
@@ -110,7 +120,23 @@ def _hochster_terms(
     cones = isolated_vertices(adj)
     order = greedy_order(adj)
     for w in masks:
-        if w and not cones[w]:
+        # the leaf chain from W, which a cone W ends at once
+        r = w
+        while not cones[r]:
+            m = r
+            while m:
+                low = m & -m
+                m ^= low
+                # r is no cone, so x holds one bit just when low is a leaf
+                x = adj[low.bit_length() - 1] & r
+                if x & (x - 1) == 0:
+                    r &= ~(x | adj[x.bit_length() - 1])
+                    break
+            else:
+                break  # no leaf in r, the empty r included: W is kept
+        else:
+            continue  # the chain ended at a cone: Ind(G_W) is contractible
+        if w:
             sigma, walls = star_cluster(order, w)
             levels = independent_sets_by_card(adj, w, sigma, alpha[w])
             yield w, homology_dims_from_levels(levels, p, walls)

@@ -29,7 +29,7 @@ is skipped.  Leads are facet masks in every field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .graphs import Graph
 from .linalg import matrix_rank
@@ -272,7 +272,7 @@ def homology_dims_from_levels(
     # A face that leads a reduced row z of the map above is a face of the
     # cycle z: d(z) = 0 writes its row below through the rows of the other
     # faces of z, all on one side of the lead.  Skipping it keeps the span.
-    cleared: set[int] = set()
+    cleared: Collection[int] = ()
     for c in range(top, 0, -1):
         level = levels[c]
         matrix = []
@@ -296,14 +296,16 @@ def homology_dims_from_levels(
             matrix.append(row)
         leads = matrix_rank(matrix, p)
         rank = len(leads)
-        dims[c] = len(level) - rank - above
-        above = rank
-        cleared = set(leads)
-    # the empty face is kept unless the complex is relative to a cluster
-    dims[0] = (0 if walls else len(levels[0])) - above
-    for c, d in enumerate(dims):
+        dims[c] = d = len(level) - rank - above
         if d < 0:
             raise InvariantError(f"negative homology dimension at k={c - 1}")
+        above = rank
+        # most levels of a relative complex lead nothing: no set for them
+        cleared = set(leads) if leads else ()
+    # the empty face is kept unless the complex is relative to a cluster
+    dims[0] = d = (0 if walls else len(levels[0])) - above
+    if d < 0:
+        raise InvariantError("negative homology dimension at k=-1")
     return dict(zip(range(-1, top), dims))
 
 

@@ -68,6 +68,27 @@ def naive_homology_dims(faces: list[frozenset[int]]) -> dict[int, int]:
     }
 
 
+def naive_leaf_closed(g, w: frozenset[int]) -> bool:
+    """Whether the leaf chain from W ends at a cone.
+
+    While the vertex set r (W at first) has a vertex with exactly one
+    neighbour x in r, the lowest such vertex is taken and r loses x and the
+    neighbours of x.  The chain ends at an r with an isolated vertex (True)
+    or at an r, possibly empty, with neither kind of vertex (False).
+    """
+    edges = edge_set(g)
+    r = set(w)
+    while True:
+        nbrs = {v: {u for u in r if frozenset((u, v)) in edges} for v in sorted(r)}
+        if any(not s for s in nbrs.values()):
+            return True
+        leaves = [v for v, s in nbrs.items() if len(s) == 1]
+        if not leaves:
+            return False
+        (x,) = nbrs[leaves[0]]
+        r -= nbrs[x] | {x}
+
+
 def naive_betti_table(g) -> dict[tuple[int, int], int]:
     """Betti numbers summed over every subset, no pruning, dense ranks."""
     table = {(0, 0): 1}

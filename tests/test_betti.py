@@ -231,7 +231,8 @@ def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
     # The benchmark's self-test reads these counts from its traced passes of
     # betti_table; the same pin here runs on every interpreter the suite runs
     # on, on the rank sweep itself, so that it holds whatever path
-    # betti_table takes.
+    # betti_table takes.  Each of the 4422 non-cone subsets of g_rb(5,3) has
+    # homology, so the leaf chain closes none of them.
     counts = {}
 
     def counted(name, fn):
@@ -255,18 +256,26 @@ def test_grb53_sweep_visits_4422_subsets_with_16948_ranks(monkeypatch):
 
 def test_sweeps_in_turn_equal_fresh_calls():
     # A sweep carries nothing from one subset or one sweep to the next: QQ,
-    # then GF(2), then QQ again over the RP^2 witness give, subset by
-    # subset, what fresh calls on each W give.
+    # then GF(2), then GF(3), then QQ again over the RP^2 witness give,
+    # subset by subset, what fresh calls on each W give.  A non-cone W that
+    # a sweep leaves out, closed by the leaf chain, has no homology in the
+    # fresh call.
     adj = tuple(RP2_WITNESS.adj)
     masks = range(1, 1 << RP2_WITNESS.n)
     cones = isolated_vertices(adj)
-    for p in (None, 2, None):
-        fresh = [
-            (w, homology_dims_from_levels(independent_sets_by_card(adj, w), p))
+    for p in (None, 2, 3, None):
+        fresh = {
+            w: homology_dims_from_levels(independent_sets_by_card(adj, w), p)
             for w in masks
             if not cones[w]
-        ]
-        assert list(_hochster_terms(adj, masks, p)) == fresh, p
+        }
+        swept = list(_hochster_terms(adj, masks, p))
+        kept = {w for w, _ in swept}
+        assert swept == [(w, dims) for w, dims in fresh.items() if w in kept], p
+        skipped = [dims for w, dims in fresh.items() if w not in kept]
+        assert not any(d for dims in skipped for d in dims.values()), p
+        # 594 of the 3533 non-cone subsets are closed
+        assert len(skipped) > 500, p
 
 
 def test_jobs_below_one_rejected():
@@ -342,6 +351,22 @@ def test_cluster_of_a_non_simplex_raises(monkeypatch):
     monkeypatch.setattr(betti, "star_cluster", widened)
     with pytest.raises(InvariantError, match="Hilbert numerator"):
         betti_table(g)
+
+
+def test_leaf_chain_that_closes_the_empty_set_raises(monkeypatch):
+    # A leaf chain that ends at the empty set leaves a sphere, Ind of the
+    # empty graph suspended; only a chain that ends at a cone closes W.  A
+    # cone table that marks the empty set as a cone closes those spheres
+    # too, and their reduced Euler characteristics, face counts that no
+    # rank cancels, go missing from the table.  The Hilbert check sees it.
+    def empty_cone(adj):
+        cones = isolated_vertices(adj)
+        cones[0] = 1
+        return cones
+
+    monkeypatch.setattr(betti, "isolated_vertices", empty_cone)
+    with pytest.raises(InvariantError, match="Hilbert numerator"):
+        betti_table(g_rb(3, 2))
 
 
 def test_table_with_a_dropped_face_raises(monkeypatch):

@@ -23,7 +23,7 @@ from edgebetti.homology import (
     star_cluster,
 )
 
-from oracles import face_levels, independent_subsets, naive_homology_dims
+from oracles import face_levels, independent_subsets, naive_homology_dims, naive_leaf_closed
 from test_betti import RP2_WITNESS
 
 
@@ -307,29 +307,33 @@ def _oracle_source_graphs():
 
 
 def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
-    # A sweep lists, for each non-cone W, only the faces that meet every wall
-    # of its star cluster, in the order of the whole listing, and pads the
-    # levels up to alpha(G_W) so that the level count, and with it the rank
-    # calls and the dense dims, stay those of the whole complex.  The levels
-    # are read where the sweep hands them on.
+    # For each non-cone W the star listing keeps only the faces that meet
+    # every wall of its star cluster, in the order of the whole listing, and
+    # pads the levels up to alpha(G_W) so that the level count, and with it
+    # the rank calls and the dense dims, stay those of the whole complex.
+    # Every non-cone W is listed here directly; then the sweep must hand on
+    # exactly the subsets that are neither cones nor closed by the leaf
+    # chain, each with the listing and walls taken here.
     handed = []
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
         lambda levels, p, walls: handed.append((levels, walls)) or {},
     )
-    subsets = one_neighbour = 0
+    subsets = one_neighbour = kept = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
+        cones = isolated_vertices(adj)
         order = greedy_order(adj)
         whole = [independent_sets_by_card(adj, w) for w in range(1 << g.n)]
         assert alpha == [len(levels) - 1 for levels in whole]
-        handed.clear()
-        swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
-        assert len(swept) == len(handed)
-        for w, (levels, walls) in zip(swept, handed):
-            assert walls == star_cluster(order, w)[1]
+        direct = {}
+        for w in range(1, 1 << g.n):
+            if cones[w]:
+                continue
+            sigma, walls = star_cluster(order, w)
+            levels = independent_sets_by_card(adj, w, sigma, alpha[w])
             assert len(levels) == len(whole[w]), (adj, w)
             assert levels == [[0]] + [
                 [f for f in level if all(f & wall for wall in walls)] for level in whole[w][1:]
@@ -337,10 +341,56 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
             # a vertex of sigma with one neighbour x in W puts x in every
             # kept face, so no neighbour of x is ever listed with it
             one_neighbour += any(wall.bit_count() == 1 for wall in walls)
-        subsets += len(swept)
+            direct[w] = levels, walls
+        subsets += len(direct)
+        handed.clear()
+        swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
+        assert swept == [w for w in direct if not naive_leaf_closed(g, frozenset(iter_bits(w)))]
+        assert handed == [direct[w] for w in swept]
+        kept += len(swept)
     assert subsets > 25_000
     # 22256 of the 29624 subsets have such a vertex
     assert one_neighbour > 20_000
+    # the sweep hands on 25778 of them
+    assert kept > 25_000
+
+
+def test_leaf_chain_closes_only_contractible_complexes(monkeypatch):
+    # Let u be a leaf of G_W with neighbour x.  Every other neighbour of x
+    # dominates u, so the fold lemma (Engstrom 2009) deletes them, and
+    # Ind(G_W) is the suspension of Ind(G_{W - N[x]}).  A W whose leaf chain
+    # ends at a cone is therefore contractible.  One that ends at the empty
+    # set is a sphere: P3 ends there after one step, and its complex, an
+    # edge and a point, has ~H_0 = 1.  P4 ends at the cone on one vertex.
+    p3, p4 = (new_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (3, 4))
+    assert list(betti._hochster_terms(tuple(p3.adj), [0b111], None)) == [
+        (0b111, {-1: 0, 0: 1, 1: 0})
+    ]
+    assert list(betti._hochster_terms(tuple(p4.adj), [0b1111], None)) == []
+    # Every non-cone subset the sweep leaves out, of the oracle's source
+    # graphs, the RP^2 witness and C_n for n <= 12, is taken whole by
+    # reduced_homology_dims and has no homology in QQ, GF(2) and GF(3).
+    monkeypatch.setattr(betti, "homology_dims_from_levels", lambda levels, p, walls: {})
+    cycles = [new_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    closed_dims = {}
+    closed = 0
+    for g in _oracle_source_graphs() + [RP2_WITNESS] + cycles:
+        adj = tuple(g.adj)
+        cones = isolated_vertices(adj)
+        swept = {w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), None)}
+        for w in range(1, 1 << g.n):
+            if cones[w] or w in swept:
+                continue
+            closed += 1
+            induced = _induced(adj, w)
+            if induced not in closed_dims:
+                edges = [(u, v) for u, nbrs in enumerate(induced) for v in iter_bits(nbrs) if u < v]
+                h = new_graph(len(induced), edges)
+                closed_dims[induced] = [reduced_homology_dims(h, FieldSpec(p)) for p in (None, 2, 3)]
+            assert not any(d for dims in closed_dims[induced] for d in dims.values()), (adj, w)
+    # 5050 are closed; a chain that stopped after its first step would
+    # close 4695
+    assert closed >= 5_000
 
 
 def test_cleared_ranks_equal_full_ranks(monkeypatch):
