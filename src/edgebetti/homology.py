@@ -296,16 +296,15 @@ def homology_dims_from_levels(
             matrix.append(row)
         leads = matrix_rank(matrix, p)
         rank = len(leads)
-        dims[c] = d = len(level) - rank - above
-        if d < 0:
-            raise InvariantError(f"negative homology dimension at k={c - 1}")
+        dims[c] = len(level) - rank - above
         above = rank
         # most levels of a relative complex lead nothing: no set for them
         cleared = set(leads) if leads else ()
     # the empty face is kept unless the complex is relative to a cluster
-    dims[0] = d = (0 if walls else len(levels[0])) - above
-    if d < 0:
-        raise InvariantError("negative homology dimension at k=-1")
+    dims[0] = (0 if walls else len(levels[0])) - above
+    for c, d in enumerate(dims):
+        if d < 0:
+            raise InvariantError(f"negative homology dimension at k={c - 1}")
     return dict(zip(range(-1, top), dims))
 
 

@@ -31,9 +31,6 @@ _UNITS = frozenset((1, -1))
 def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
     """Lead columns (highest) of an integer matrix over QQ (p None) or GF(p),
     p prime."""
-    if not rows:
-        # the most common matrix of a sweep: a level with no face to rank
-        return []
     pivots: dict[int, Row] = {}
     for row in rows:
         if p is None or _UNITS.issuperset(row.values()):
