@@ -6,11 +6,10 @@ its edge ideal, Hochster's formula gives
     beta_{i,i+j} = sum over |W| = i+j of dim ~H_{j-1}(Ind(G_W))
 
 where Ind(G_W) is the independence complex of the induced subgraph on W.  The
-sweep over subsets skips any W whose induced subgraph has an isolated vertex:
-the complex is then a cone and contributes nothing.  It also skips any W
-that the leaf chain closes: while the vertex set r (W at first) has a vertex
-u with one neighbour x in r, Ind(G_r) is the suspension of Ind(G_{r - N[x]})
-by the fold lemma (Engstrom 2009), so r gives way to r - N[x], and a chain
+sweep over subsets skips any W that one rule, the fold lemma (Engstrom
+2009), proves contractible.  Let u be a vertex of r (W at first) with at most
+one neighbour in r.  With none, Ind(G_r) is a cone; with one, x, Ind(G_r) is
+the suspension of Ind(G_{r - N[x]}), and r gives way to r - N[x].  A walk
 that ends at a cone leaves Ind(G_W) contractible.  Each remaining subset
 gets an exact rank computation per boundary map, relative to the star
 cluster of a maximal independent set of G_W, a contractible subcomplex.
@@ -39,7 +38,6 @@ from .homology import (
     homology_dims_from_levels,
     independence_numbers,
     independent_sets_by_card,
-    isolated_vertices,
     star_cluster,
 )
 
@@ -89,57 +87,54 @@ def _hochster_terms(
     adj: Sequence[int], masks: Iterable[int], p: int | None
 ) -> Iterator[tuple[int, HomologyProfile]]:
     """(W, reduced homology dims of Ind(G_W)) for every nonempty W in *masks*
-    whose complex is neither a cone nor closed by the leaf chain; both kinds
-    are contractible, have no reduced homology and are skipped.
+    that the fold walk does not close; a closed complex is contractible, has
+    no reduced homology and is skipped.
 
     This is the only loop over vertex subsets: every sweep goes through it,
     and it refuses a graph above ``MAX_SWEEP_VERTICES`` before the first
-    subset.  A table of isolated vertices per mask, built once per sweep
-    by `isolated_vertices`, finds the cones.  The leaf chain starts at
-    r = W and, while the lowest vertex of r with exactly one neighbour x
-    in r exists, replaces r by r - N[x]: Ind(G_r) is the suspension of
-    Ind(G_{r - N[x]}).  It ends at a cone, which closes W, or at an r with
-    no such vertex, which keeps it.  The empty set is no cone, and Ind of
-    the empty graph suspended is a sphere, so a chain that ends there keeps
-    W (P3 is one).  Each kept complex is taken relative to the star cluster
-    SC(sigma) of the maximal independent set sigma that `star_cluster`
-    grows over W in one `greedy_order` per sweep.
+    subset.  The fold walk starts at r = W, and the lowest vertex of r with
+    at most one neighbour in r decides each step.  With no neighbour, r is
+    a cone, which closes W.  With one, x, Ind(G_r) is the suspension of
+    Ind(G_{r - N[x]}), and the walk starts again from r - N[x].  A vertex
+    isolated in r lies in no N[x] of a later step, so a walk that passes
+    a cone still ends at one.  A walk that finds no such vertex keeps W.
+    The empty set is no cone, and Ind of the empty graph suspended is a
+    sphere, so a walk that ends there keeps W (P3 is one).  Each kept
+    complex is taken relative to the star cluster SC(sigma) of the maximal
+    independent set sigma that `star_cluster` grows over W in one
+    `greedy_order` per sweep.
     SC(sigma) is contractible (Barmak 2013), so the relative homology is
     the reduced homology of Ind(G_W).  Only the faces that meet N(v) for
     every v in sigma are listed, and a face loses its facet F - x when x is
     its only vertex in some N(v).  The listing runs to alpha(G_W), read from
     one `independence_numbers` table per sweep, so that the dims stay dense
     on -1 .. dim Ind(G_W) and each level still gets its one rank call.
-    Only those tables and the order pass from one subset to the next.  This
+    Only that table and the order pass from one subset to the next.  This
     is the one place where a complex is taken relative to a cluster;
     `reduced_homology_dims` takes the whole complex.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
     alpha = independence_numbers(adj)
-    cones = isolated_vertices(adj)
     order = greedy_order(adj)
     for w in masks:
-        # the leaf chain from W, which a cone W ends at once
-        r = w
-        while not cones[r]:
-            m = r
-            while m:
-                low = m & -m
-                m ^= low
-                # r is no cone, so x holds one bit just when low is a leaf
-                x = adj[low.bit_length() - 1] & r
-                if x & (x - 1) == 0:
-                    r &= ~(x | adj[x.bit_length() - 1])
-                    break
-            else:
-                break  # no leaf in r, the empty r included: W is kept
+        # the fold walk from r = W; each step scans r from its lowest vertex
+        r = m = w
+        while m:
+            low = m & -m
+            m ^= low
+            x = adj[low.bit_length() - 1] & r
+            if x & (x - 1) == 0:
+                if not x:
+                    break  # r is a cone: Ind(G_W) is contractible
+                r &= ~(x | adj[x.bit_length() - 1])
+                m = r
         else:
-            continue  # the chain ended at a cone: Ind(G_W) is contractible
-        if w:
-            sigma, walls = star_cluster(order, w)
-            levels = independent_sets_by_card(adj, w, sigma, alpha[w])
-            yield w, homology_dims_from_levels(levels, p, walls)
+            # no vertex with at most one neighbour in r, the empty r included
+            if w:
+                sigma, walls = star_cluster(order, w)
+                levels = independent_sets_by_card(adj, w, sigma, alpha[w])
+                yield w, homology_dims_from_levels(levels, p, walls)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

@@ -90,6 +90,9 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self) -> None:
+        # 2.0 would pass the prime test and run the sweep in floats
+        if self.p is not None and not isinstance(self.p, int):
+            raise ValueError(f"modulus {self.p!r} is not an integer")
         if self.p is not None and self.p >= _MODULUS_BOUND:
             raise ValueError(f"modulus {self.p} must be below 2^64")
         if self.p is not None and not _is_prime(self.p):
@@ -189,21 +192,6 @@ def independence_numbers(adj: Sequence[int]) -> list[int]:
         keep = ~adj[u] & ((1 << u) - 1)
         alpha += [a if alpha[m & keep] < a else a + 1 for m, a in enumerate(alpha)]
     return alpha
-
-
-def isolated_vertices(adj: Sequence[int]) -> list[int]:
-    """The isolated vertices of G_W, as a mask, for every vertex mask W of
-    the graph with adjacency *adj*; Ind(G_W) is a cone just when W has one.
-
-    Doubles the table once per vertex u: in m | u, with m below u, u is
-    isolated when it has no neighbour in m, and the isolated vertices of m
-    stay so unless they are neighbours of u.
-    """
-    iso = [0]
-    for u, nbrs in enumerate(adj):
-        bit = 1 << u
-        iso += [i & ~nbrs | (0 if nbrs & m else bit) for m, i in enumerate(iso)]
-    return iso
 
 
 def greedy_order(adj: Sequence[int]) -> list[tuple[int, int]]:

@@ -68,23 +68,29 @@ def naive_homology_dims(faces: list[frozenset[int]]) -> dict[int, int]:
     }
 
 
-def naive_leaf_closed(g, w: frozenset[int]) -> bool:
-    """Whether the leaf chain from W ends at a cone.
+def has_isolated_vertex(adj, w: int) -> bool:
+    """Whether G_W has a vertex with no neighbour in W, so that Ind(G_W) is
+    a cone; *adj* is a list of adjacency bitmasks and *w* a vertex mask."""
+    return not all(adj[v] & w for v in range(len(adj)) if w >> v & 1)
+
+
+def naive_leaf_chain_end(g, w: frozenset[int]) -> frozenset[int] | None:
+    """Where the leaf chain from W ends: None at a cone, else the last r.
 
     While the vertex set r (W at first) has a vertex with exactly one
     neighbour x in r, the lowest such vertex is taken and r loses x and the
-    neighbours of x.  The chain ends at an r with an isolated vertex (True)
-    or at an r, possibly empty, with neither kind of vertex (False).
+    neighbours of x.  The chain ends at an r with an isolated vertex (None)
+    or at an r, possibly empty, with neither kind of vertex (that r).
     """
     edges = edge_set(g)
     r = set(w)
     while True:
         nbrs = {v: {u for u in r if frozenset((u, v)) in edges} for v in sorted(r)}
         if any(not s for s in nbrs.values()):
-            return True
+            return None
         leaves = [v for v, s in nbrs.items() if len(s) == 1]
         if not leaves:
-            return False
+            return frozenset(r)
         (x,) = nbrs[leaves[0]]
         r -= nbrs[x] | {x}
 

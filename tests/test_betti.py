@@ -18,17 +18,16 @@ from edgebetti.betti import (
     k_polynomial,
 )
 from edgebetti.families import g_pr1, g_rb
-from edgebetti.graphs import is_chordal, is_connected, new_graph
+from edgebetti.graphs import is_chordal, is_connected, iter_bits, new_graph
 from edgebetti.homology import (
     FieldSpec,
     InvariantError,
     homology_dims_from_levels,
     independent_sets_by_card,
-    isolated_vertices,
     star_cluster,
 )
 
-from oracles import naive_betti_table
+from oracles import has_isolated_vertex, naive_betti_table, naive_leaf_chain_end
 
 
 def cycle(n):
@@ -262,12 +261,11 @@ def test_sweeps_in_turn_equal_fresh_calls():
     # fresh call.
     adj = tuple(RP2_WITNESS.adj)
     masks = range(1, 1 << RP2_WITNESS.n)
-    cones = isolated_vertices(adj)
     for p in (None, 2, 3, None):
         fresh = {
             w: homology_dims_from_levels(independent_sets_by_card(adj, w), p)
             for w in masks
-            if not cones[w]
+            if not has_isolated_vertex(adj, w)
         }
         swept = list(_hochster_terms(adj, masks, p))
         kept = {w for w, _ in swept}
@@ -356,17 +354,21 @@ def test_cluster_of_a_non_simplex_raises(monkeypatch):
 def test_leaf_chain_that_closes_the_empty_set_raises(monkeypatch):
     # A leaf chain that ends at the empty set leaves a sphere, Ind of the
     # empty graph suspended; only a chain that ends at a cone closes W.  A
-    # cone table that marks the empty set as a cone closes those spheres
-    # too, and their reduced Euler characteristics, face counts that no
-    # rank cancels, go missing from the table.  The Hilbert check sees it.
-    def empty_cone(adj):
-        cones = isolated_vertices(adj)
-        cones[0] = 1
-        return cones
+    # sweep that also drops every W whose chain ends at the empty set closes
+    # those spheres, and their reduced Euler characteristics, face counts
+    # that no rank cancels, go missing from the table.  The Hilbert check
+    # sees it.
+    g = g_rb(3, 2)
+    sweep = betti._hochster_terms
 
-    monkeypatch.setattr(betti, "isolated_vertices", empty_cone)
+    def closing_empty(adj, masks, p):
+        for w, dims in sweep(adj, masks, p):
+            if naive_leaf_chain_end(g, frozenset(iter_bits(w))) != frozenset():
+                yield w, dims
+
+    monkeypatch.setattr(betti, "_hochster_terms", closing_empty)
     with pytest.raises(InvariantError, match="Hilbert numerator"):
-        betti_table(g_rb(3, 2))
+        betti_table(g)
 
 
 def test_table_with_a_dropped_face_raises(monkeypatch):

@@ -18,12 +18,17 @@ from edgebetti.homology import (
     independence_numbers,
     independent_sets_by_card,
     greedy_order,
-    isolated_vertices,
     reduced_homology_dims,
     star_cluster,
 )
 
-from oracles import face_levels, independent_subsets, naive_homology_dims, naive_leaf_closed
+from oracles import (
+    face_levels,
+    has_isolated_vertex,
+    independent_subsets,
+    naive_homology_dims,
+    naive_leaf_chain_end,
+)
 from test_betti import RP2_WITNESS
 
 
@@ -58,6 +63,14 @@ def test_fieldspec_requires_prime():
     # Miller-Rabin bases, refused by the bound
     with pytest.raises(ValueError, match="below 2\\^64"):
         FieldSpec.gf(318665857834031151167461)
+    # 2.0 % 2 == 0 and 2.0 == 2 would pass the prime test, and the sweep
+    # would then run in floats; a bool is no prime
+    for bad in (2.0, 3.0):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not an integer"):
+            FieldSpec(bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(bad)
 
 
 def test_fieldspec_str():
@@ -122,14 +135,10 @@ def test_star_cluster():
         [0], [0b00100], [0b00101, 0b10100], [0b10101]
     ]
     assert independent_sets_by_card(g.adj, 0b11111, 0b11001, 3) == [[0], [], [], []]
-    # vertex 3 is isolated in W = {0, 1, 3}, so Ind(G_W) is a cone, and
-    # W = {} has no vertex
-    cones = isolated_vertices(g.adj)
-    assert cones[0b01011] == 0b01000
-    assert cones[0] == 0
-    assert [w for w in range(1, 32) if not cones[w]] == [
-        w for w in range(1, 32) if all(g.adj[v] & w for v in iter_bits(w))
-    ]
+    # vertex 3 is isolated in W = {0, 1, 3}, so Ind(G_W) is a cone, and the
+    # sweep closes it; W = {} is no subset the sweep yields either
+    assert has_isolated_vertex(g.adj, 0b01011)
+    assert list(betti._hochster_terms(tuple(g.adj), [0b01011, 0], None)) == []
 
 
 def test_independence_complex_small():
@@ -324,13 +333,12 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
-        cones = isolated_vertices(adj)
         order = greedy_order(adj)
         whole = [independent_sets_by_card(adj, w) for w in range(1 << g.n)]
         assert alpha == [len(levels) - 1 for levels in whole]
         direct = {}
         for w in range(1, 1 << g.n):
-            if cones[w]:
+            if has_isolated_vertex(adj, w):
                 continue
             sigma, walls = star_cluster(order, w)
             levels = independent_sets_by_card(adj, w, sigma, alpha[w])
@@ -345,7 +353,9 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
         subsets += len(direct)
         handed.clear()
         swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
-        assert swept == [w for w in direct if not naive_leaf_closed(g, frozenset(iter_bits(w)))]
+        assert swept == [
+            w for w in direct if naive_leaf_chain_end(g, frozenset(iter_bits(w))) is not None
+        ]
         assert handed == [direct[w] for w in swept]
         kept += len(swept)
     assert subsets > 25_000
@@ -367,6 +377,10 @@ def test_leaf_chain_closes_only_contractible_complexes(monkeypatch):
         (0b111, {-1: 0, 0: 1, 1: 0})
     ]
     assert list(betti._hochster_terms(tuple(p4.adj), [0b1111], None)) == []
+    # In one edge and a point, vertex 0 is a leaf below the isolated vertex
+    # 2: the walk folds first, to {2}, which is the cone that closes W.
+    k2_point = new_graph(3, [(0, 1)])
+    assert list(betti._hochster_terms(tuple(k2_point.adj), [0b111], None)) == []
     # Every non-cone subset the sweep leaves out, of the oracle's source
     # graphs, the RP^2 witness and C_n for n <= 12, is taken whole by
     # reduced_homology_dims and has no homology in QQ, GF(2) and GF(3).
@@ -376,10 +390,9 @@ def test_leaf_chain_closes_only_contractible_complexes(monkeypatch):
     closed = 0
     for g in _oracle_source_graphs() + [RP2_WITNESS] + cycles:
         adj = tuple(g.adj)
-        cones = isolated_vertices(adj)
         swept = {w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), None)}
         for w in range(1, 1 << g.n):
-            if cones[w] or w in swept:
+            if has_isolated_vertex(adj, w) or w in swept:
                 continue
             closed += 1
             induced = _induced(adj, w)
@@ -409,8 +422,9 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     graphs = set()
     sweeps = []  # per source graph: its non-cone subsets W in mask order, with G_W
     for g in _oracle_source_graphs():
-        cones = isolated_vertices(g.adj)
-        subsets = [(w, _induced(g.adj, w)) for w in range(1, 1 << g.n) if not cones[w]]
+        subsets = [
+            (w, _induced(g.adj, w)) for w in range(1, 1 << g.n) if not has_isolated_vertex(g.adj, w)
+        ]
         sweeps.append((g.adj, subsets))
         graphs.update(induced for _, induced in subsets)
     graphs.add(tuple(RP2_WITNESS.adj))
@@ -493,9 +507,8 @@ def test_every_maximal_sigma_gives_the_whole_homology():
     clusters = 0
     for g in sources:
         adj = tuple(g.adj)
-        cones = isolated_vertices(adj)
         for w in range(1, 1 << g.n):
-            if cones[w]:
+            if has_isolated_vertex(adj, w):
                 continue
             induced = _induced(adj, w)
             if induced not in expected:
