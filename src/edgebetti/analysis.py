@@ -69,22 +69,16 @@ def projective_dimension(t: BettiTable) -> int:
 
 
 def extremal_positions(t: BettiTable) -> ExtremalReport:
-    """All corner entries of the table.
-
-    The unit entry (0,0) counts as a corner only for the trivial table
-    (zero ideal); any other entry dominates it out of candidacy.
-    """
+    """All corner entries: the nonzero (i, j) that no other nonzero (k, l)
+    with k >= i and l >= j dominates.  Every entry has k, l >= 0, so any
+    other entry dominates the unit (0,0): it is a corner only of the
+    trivial table (zero ideal)."""
     support = t.support()
-    if len(support) == 1:
-        corners = [(0, 0)]
-    else:
-        corners = sorted(
-            (i, j)
-            for (i, j) in support - {(0, 0)}
-            if not any(
-                (k, l) != (i, j) and k >= i and l >= j for (k, l) in support
-            )
-        )
+    corners = sorted(
+        (i, j)
+        for (i, j) in support
+        if not any((k, l) != (i, j) and k >= i and l >= j for (k, l) in support)
+    )
     report = ExtremalReport(tuple((i, j, t.get(i, j)) for i, j in corners))
     reg = regularity(t)
     pd = projective_dimension(t)

@@ -12,9 +12,9 @@ induced subgraph G_W is covered by a strongly disjoint set of bouquets of
 type (i, j); `find_certificate` searches for such a witness exhaustively
 and `certified_positions` collects every witnessed type.  On any other
 graph a witness still proves a position nonzero, but a missing one proves
-nothing, so both warn there.  Both walk the induced matchings of the graph,
-so both take its size guard:
-`graphs.induced_matchings` refuses a graph above ``MAX_SEARCH_VERTICES``.
+nothing, so both warn there.  Both read one walk, `graphs.induced_matchings`
+(the search skips the matchings whose size is not j), so both take its size
+guard: it refuses a graph above ``MAX_SEARCH_VERTICES``.
 """
 
 from __future__ import annotations
@@ -109,12 +109,14 @@ def validate_bouquet_set(g: Graph, cert: Certificate) -> bool:
 
 
 def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
-    """(matching, roots, attachable) for each induced matching (of size
-    *exact*, or every nonempty one, in lexicographic edge-list order) and
+    """(matching, roots, attachable) for each induced matching, in the
+    order of `induced_matchings` and of size *exact* when that is set, and
     each choice of one root per edge, smaller endpoints first; attachable
     lists the vertices outside the matching adjacent to some root.
     """
-    for matching in induced_matchings(g, exact):
+    for matching in induced_matchings(g):
+        if exact is not None and len(matching) != exact:
+            continue
         vm = mask_of(w for e in matching for w in e)
         for pattern in range(1 << len(matching)):
             # bit k clear: root of edge k is its smaller endpoint
@@ -128,9 +130,9 @@ def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
 def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
     """Search g for a strongly disjoint bouquet set of type (i, j).
 
-    The search is complete: it enumerates induced matchings of size j as
-    representative systems (lexicographic edge order), each choice of roots
-    (smaller endpoints first), then pads the bouquets with the i - j
+    The search is complete: it takes the induced matchings of size j, in
+    lexicographic edge order, as representative systems, each choice of
+    roots (smaller endpoints first), then pads the bouquets with the i - j
     smallest attachable outside vertices, each hung on its smallest
     adjacent root.  Returns the first certificate in that order, hence a
     deterministic one, or None.  Types with j < 1, i < j or i + j > n are

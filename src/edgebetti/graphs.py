@@ -150,11 +150,11 @@ def is_chordal(g: Graph) -> bool:
     return True
 
 
-def induced_matchings(g: Graph, size: int | None = None) -> Iterator[tuple[Edge, ...]]:
-    """Induced matchings of g, in lexicographic order of `Graph.edges`.
+def induced_matchings(g: Graph) -> Iterator[tuple[Edge, ...]]:
+    """Every nonempty induced matching of g, in lexicographic order of the
+    edge indices in `Graph.edges`.
 
-    With *size* set, only matchings of that size are yielded; otherwise
-    every nonempty one is.  Picking an edge (u,v) blocks N[u] | N[v], so
+    The walk is depth first: picking an edge (u,v) blocks N[u] | N[v], so
     every edge picked later is disjoint from it and joined to it by no edge.
     A graph above ``MAX_SEARCH_VERTICES`` is refused when the function is
     called, before the first matching is asked for.
@@ -166,17 +166,12 @@ def induced_matchings(g: Graph, size: int | None = None) -> Iterator[tuple[Edge,
     chosen: list[Edge] = []
 
     def rec(start: int, blocked: int) -> Iterator[tuple[Edge, ...]]:
-        if size is not None and len(chosen) == size:
-            yield tuple(chosen)
-            return
-        stop = len(edges) if size is None else len(edges) - (size - len(chosen)) + 1
-        for idx in range(start, stop):
+        for idx in range(start, len(edges)):
             u, v = edges[idx]
             if blocked & (1 << u | 1 << v):
                 continue
             chosen.append(edges[idx])
-            if size is None:
-                yield tuple(chosen)
+            yield tuple(chosen)
             yield from rec(idx + 1, blocked | closed[u] | closed[v])
             chosen.pop()
 
@@ -271,7 +266,9 @@ def _is_int(x) -> bool:
 
 
 def parse_graph(text: str) -> Graph:
-    """Read a graph in either supported format (JSON is detected by '{')."""
+    """Read a graph in either supported format (JSON is detected by '{'),
+    after dropping one leading byte-order mark, as some editors write."""
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -14,7 +14,7 @@ from edgebetti.bouquets import (
     find_certificate,
     validate_bouquet_set,
 )
-from edgebetti.families import g_rb, path_star, star_triangle
+from edgebetti.families import g_pr1, g_rb, path_star, star_triangle
 from edgebetti.graphs import is_chordal, new_graph
 from edgebetti.homology import InvariantError
 
@@ -167,6 +167,30 @@ def test_find_certificate_respects_lex_order():
     cert22 = find_certificate(g, 2, 2)
     assert cert22 is not None
     assert cert22.witness == 0b1111
+
+
+def test_find_certificate_pins_first_multi_bouquet_certificates():
+    # the first certificate in the search order, on the two families
+    assert find_certificate(g_pr1(8, 5), 8, 5).to_json_dict() == {
+        "type": [8, 5],
+        "bouquets": [
+            {"root": 0, "leaves": [7]},
+            {"root": 1, "leaves": [8]},
+            {"root": 2, "leaves": [9]},
+            {"root": 3, "leaves": [10]},
+            {"root": 11, "leaves": [4, 5, 6, 12]},
+        ],
+        "representatives": [[0, 7], [1, 8], [2, 9], [3, 10], [4, 11]],
+    }
+    assert find_certificate(g_rb(5, 3), 7, 3).to_json_dict() == {
+        "type": [7, 3],
+        "bouquets": [
+            {"root": 2, "leaves": [7, 10]},
+            {"root": 3, "leaves": [8]},
+            {"root": 12, "leaves": [0, 1, 5, 6]},
+        ],
+        "representatives": [[2, 7], [3, 8], [0, 12]],
+    }
 
 
 def test_find_certificate_none_on_grb_vanishing_corner():

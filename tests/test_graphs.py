@@ -156,9 +156,12 @@ def test_induced_matching_number_matches_oracle():
         listed = list(induced_matchings(g))
         accepted = set(naive_induced_matchings(g))
         assert len(set(listed)) == len(listed) and set(listed) == accepted
+        # the walk lists them in strictly increasing lexicographic order of
+        # edge indices, the order find_certificate's first certificate uses
         edges = g.edges()
+        keys = [[edges.index(e) for e in m] for m in listed]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
         for size in range(1, len(edges) + 1):
-            assert list(induced_matchings(g, size)) == [m for m in listed if len(m) == size]
             for sub in itertools.combinations(edges, size):
                 assert is_induced_matching(g, sub) == (sub in accepted), sub
 
@@ -231,6 +234,13 @@ def test_parse_graph_autodetects():
     assert parse_graph(graph_to_text(g)) == g
     assert parse_graph(json.dumps(graph_to_json_dict(g))) == g
     assert parse_graph("  " + json.dumps(graph_to_json_dict(g))) == g
+
+
+def test_parse_graph_drops_one_byte_order_mark():
+    # editors such as Notepad start a UTF-8 file with U+FEFF
+    g = new_graph(3, [(0, 1), (1, 2)])
+    for text in (graph_to_text(g), json.dumps(graph_to_json_dict(g))):
+        assert parse_graph("\ufeff" + text) == parse_graph(text) == g
 
 
 def test_graph_is_hashable_and_slotted():
