@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .graphs import (
@@ -112,7 +113,7 @@ def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
     """(matching, roots, attachable) for each induced matching, in the
     order of `induced_matchings` and of size *exact* when that is set, and
     each choice of one root per edge, smaller endpoints first; attachable
-    lists the vertices outside the matching adjacent to some root.
+    is the mask of the vertices outside the matching adjacent to some root.
     """
     for matching in induced_matchings(g):
         if exact is not None and len(matching) != exact:
@@ -124,7 +125,7 @@ def _rooted_matchings(g: Graph, exact: int | None) -> Iterator[tuple]:
             near = 0
             for r in roots:
                 near |= g.adj[r]
-            yield matching, roots, list(iter_bits(near & ~vm))
+            yield matching, roots, near & ~vm
 
 
 def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
@@ -143,10 +144,10 @@ def find_certificate(g: Graph, i: int, j: int) -> Certificate | None:
     need = i - j
     if j >= 1 and need >= 0 and i + j <= g.n:
         for matching, roots, attachable in _rooted_matchings(g, j):
-            if len(attachable) < need:
+            if attachable.bit_count() < need:
                 continue
             leaves = {r: [u + v - r] for (u, v), r in zip(matching, roots)}
-            for w in attachable[:need]:
+            for w in islice(iter_bits(attachable), need):
                 leaves[min(r for r in roots if g.adj[w] >> r & 1)].append(w)
             ordered = sorted(zip(roots, matching))
             cert = Certificate(
@@ -176,7 +177,7 @@ def certified_positions(g: Graph) -> set[tuple[int, int]]:
     out = {(0, 0)}
     for matching, _, attachable in _rooted_matchings(g, None):
         s = len(matching)
-        for e in range(len(attachable) + 1):
+        for e in range(attachable.bit_count() + 1):
             out.add((s + e, s))
     if not is_chordal(g):
         warnings.warn(

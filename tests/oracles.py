@@ -74,24 +74,27 @@ def has_isolated_vertex(adj, w: int) -> bool:
     return not all(adj[v] & w for v in range(len(adj)) if w >> v & 1)
 
 
-def naive_leaf_chain_end(g, w: frozenset[int]) -> frozenset[int] | None:
-    """Where the leaf chain from W ends: None at a cone, else the last r.
+def naive_fold_walk(g, w: frozenset[int]) -> tuple[list[tuple[int, int]], frozenset[int] | None]:
+    """The leaf chain from W: its folds (u, x), and where it ends, None at a
+    cone, else the last r.
 
     While the vertex set r (W at first) has a vertex with exactly one
-    neighbour x in r, the lowest such vertex is taken and r loses x and the
-    neighbours of x.  The chain ends at an r with an isolated vertex (None)
-    or at an r, possibly empty, with neither kind of vertex (that r).
+    neighbour x in r, the lowest such vertex u is taken and r loses x and
+    the neighbours of x.  The chain ends at an r with an isolated vertex
+    (None) or at an r, possibly empty, with neither kind of vertex (that r).
     """
     edges = edge_set(g)
     r = set(w)
+    folds = []
     while True:
         nbrs = {v: {u for u in r if frozenset((u, v)) in edges} for v in sorted(r)}
         if any(not s for s in nbrs.values()):
-            return None
+            return folds, None
         leaves = [v for v, s in nbrs.items() if len(s) == 1]
         if not leaves:
-            return frozenset(r)
+            return folds, frozenset(r)
         (x,) = nbrs[leaves[0]]
+        folds.append((leaves[0], x))
         r -= nbrs[x] | {x}
 
 

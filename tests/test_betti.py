@@ -27,7 +27,7 @@ from edgebetti.homology import (
     star_cluster,
 )
 
-from oracles import has_isolated_vertex, naive_betti_table, naive_leaf_chain_end
+from oracles import has_isolated_vertex, naive_betti_table, naive_fold_walk
 
 
 def cycle(n):
@@ -335,20 +335,24 @@ def test_hilbert_equals_k_polynomial_randomized():
 
 def test_cluster_of_a_non_simplex_raises(monkeypatch):
     # The star cluster is contractible because sigma is a simplex of
-    # Ind(G_W).  Add to sigma a neighbour u of its first vertex, with the
-    # wall N(u) & W: sigma is then no simplex, the listing and the dropped
-    # facets follow the widened sigma, and the dimensions are no longer
-    # those of Ind(G_W).  The Hilbert check sees it.
+    # Ind(G_W).  The sweep grows sigma' on the fold end r, and only when r
+    # is not empty.  Add to sigma' a neighbour u of its first vertex, with
+    # the wall N(u) & r: sigma is then no simplex, the listing and the
+    # dropped facets follow the widened sigma, and the dimensions are no
+    # longer those of Ind(G_W).  The Hilbert check sees it.
     g = g_rb(3, 2)
+    ends = []
 
-    def widened(order, w):
-        sigma, walls = star_cluster(order, w)
+    def widened(order, r):
+        ends.append(r)
+        sigma, walls = star_cluster(order, r)
         u = walls[0] & -walls[0]
-        return sigma | u, walls + [g.adj[u.bit_length() - 1] & w]
+        return sigma | u, walls + [g.adj[u.bit_length() - 1] & r]
 
     monkeypatch.setattr(betti, "star_cluster", widened)
     with pytest.raises(InvariantError, match="Hilbert numerator"):
         betti_table(g)
+    assert ends and all(ends)
 
 
 def test_leaf_chain_that_closes_the_empty_set_raises(monkeypatch):
@@ -363,7 +367,7 @@ def test_leaf_chain_that_closes_the_empty_set_raises(monkeypatch):
 
     def closing_empty(adj, masks, p):
         for w, dims in sweep(adj, masks, p):
-            if naive_leaf_chain_end(g, frozenset(iter_bits(w))) != frozenset():
+            if naive_fold_walk(g, frozenset(iter_bits(w)))[1] != frozenset():
                 yield w, dims
 
     monkeypatch.setattr(betti, "_hochster_terms", closing_empty)

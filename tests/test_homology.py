@@ -26,8 +26,8 @@ from oracles import (
     face_levels,
     has_isolated_vertex,
     independent_subsets,
+    naive_fold_walk,
     naive_homology_dims,
-    naive_leaf_chain_end,
 )
 from test_betti import RP2_WITNESS
 
@@ -111,6 +111,48 @@ def test_independent_sets_match_oracle():
         got = {m for level in levels for m in level}
         expected = {mask_of(s) for s in independent_subsets(g, frozenset(range(n)))}
         assert got == expected
+
+
+def test_forced_vertices_keep_the_filtered_listing():
+    # A vertex of sigma with one available neighbour x puts x in every kept
+    # face, and the listing starts from the forced vertices.  For random
+    # independent sets sigma of G_W that are not maximal, the listing is
+    # the whole listing filtered to the faces that meet N(v) & W for every
+    # v in sigma, in the same order and padded to alpha(G_W).
+    rng = random.Random(25)
+    checked = forced = 0
+    while checked < 2_000:
+        n = rng.randint(2, 9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
+        g = new_graph(n, edges)
+        adj = tuple(g.adj)
+        w = rng.randrange(1, 1 << n)
+        whole = independent_sets_by_card(adj, w)
+        sigma = rng.choice([f for level in whole for f in level])
+        if all(adj[v] & sigma for v in iter_bits(w & ~sigma)):
+            continue  # maximal, or the empty face of an empty G_W
+        walls = [adj[v] & w for v in iter_bits(sigma)]
+        levels = independent_sets_by_card(adj, w, sigma, len(whole) - 1)
+        assert levels == [[0]] + [
+            [f for f in level if all(f & wall for wall in walls)] for level in whole[1:]
+        ], (adj, w, sigma)
+        checked += 1
+        forced += any(wall.bit_count() == 1 for wall in walls)
+    # 554 of them force a vertex
+    assert forced > 500
+    # 0 - 1 - 2 and the lone vertex 3: sigma = {0} forces 1, and sigma = {3}
+    # leaves no neighbour for 3, so only level 0 is listed
+    g = new_graph(4, [(0, 1), (1, 2)])
+    assert independent_sets_by_card(g.adj, 0b1111, 0b0001) == [[0], [0b0010], [0b1010]]
+    assert independent_sets_by_card(g.adj, 0b1111, 0b1000) == [[0]]
+    assert independent_sets_by_card(g.adj, 0b1111, 0b1001, 3) == [[0], [], [], []]
+    # in 0 - 1 - 2 - 3 - 4, sigma = {0, 3}: 0 forces 1, which takes 2 from
+    # 3, so 3 is left with 4 alone, and {1, 4} is the one kept face; in
+    # W = {1, 2, 3, 4}, sigma = {1, 4}: 1 forces 2, which takes 3, the only
+    # neighbour of 4, and nothing is kept
+    p5 = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert independent_sets_by_card(p5.adj, 0b11111, 0b01001) == [[0], [], [0b10010]]
+    assert independent_sets_by_card(p5.adj, 0b11110, 0b10010) == [[0]]
 
 
 def test_star_cluster():
@@ -316,20 +358,21 @@ def _oracle_source_graphs():
 
 
 def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
-    # For each non-cone W the star listing keeps only the faces that meet
-    # every wall of its star cluster, in the order of the whole listing, and
-    # pads the levels up to alpha(G_W) so that the level count, and with it
-    # the rank calls and the dense dims, stay those of the whole complex.
-    # Every non-cone W is listed here directly; then the sweep must hand on
-    # exactly the subsets that are neither cones nor closed by the leaf
-    # chain, each with the listing and walls taken here.
+    # For each kept W the listing keeps only the faces that meet every wall
+    # of sigma, the walk's fold leaves plus the `star_cluster` sigma' of the
+    # fold end r, in the order of the whole listing, and pads the levels up
+    # to alpha(G_W) so that the level count, and with it the rank calls and
+    # the dense dims, stay those of the whole complex.  Every W whose leaf
+    # chain does not end at a cone is listed here directly, from the
+    # oracle's folds; then the sweep must hand on exactly these subsets,
+    # each with the listing and walls taken here.
     handed = []
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
         lambda levels, p, walls: handed.append((levels, walls)) or {},
     )
-    subsets = one_neighbour = kept = 0
+    kept = one_neighbour = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
@@ -338,9 +381,12 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
         assert alpha == [len(levels) - 1 for levels in whole]
         direct = {}
         for w in range(1, 1 << g.n):
-            if has_isolated_vertex(adj, w):
+            folds, end = naive_fold_walk(g, frozenset(iter_bits(w)))
+            if end is None:
                 continue
-            sigma, walls = star_cluster(order, w)
+            sigma, walls = star_cluster(order, mask_of(end)) if end else (0, [])
+            sigma |= mask_of(u for u, _ in folds)
+            walls += [adj[u] & w for u, _ in sorted(folds)]
             levels = independent_sets_by_card(adj, w, sigma, alpha[w])
             assert len(levels) == len(whole[w]), (adj, w)
             assert levels == [[0]] + [
@@ -350,19 +396,71 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
             # kept face, so no neighbour of x is ever listed with it
             one_neighbour += any(wall.bit_count() == 1 for wall in walls)
             direct[w] = levels, walls
-        subsets += len(direct)
         handed.clear()
         swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
-        assert swept == [
-            w for w in direct if naive_leaf_chain_end(g, frozenset(iter_bits(w))) is not None
-        ]
+        assert swept == list(direct)
         assert handed == [direct[w] for w in swept]
         kept += len(swept)
-    assert subsets > 25_000
-    # 22256 of the 29624 subsets have such a vertex
-    assert one_neighbour > 20_000
-    # the sweep hands on 25778 of them
-    assert kept > 25_000
+    # The sweep hands on 25778 subsets, and 18538 have a wall of one vertex:
+    # those that fold, since the first leaf's wall is {x_1}, and a vertex of
+    # sigma' with one neighbour in r would have folded.
+    assert kept == 25_778
+    assert one_neighbour == 18_538
+
+
+def test_fold_leaves_split_off_at_chain_level(monkeypatch):
+    # Let the walk fold s >= 1 times, at leaves u_i with neighbours x_i, and
+    # end at r.  Every kept face contains X = {x_1 .. x_s} and meets the
+    # wall N(u_i) & W of each leaf only in x_i, so it loses every facet
+    # F - x_i, and F -> F - X maps the W listing onto the listing of r
+    # relative to the `star_cluster` sigma' of r, s levels down: the fold
+    # lemma at the level of chains.  The dimensions are those of the whole
+    # complex in QQ, GF(2) and GF(3).
+    handed = []
+    monkeypatch.setattr(
+        betti,
+        "homology_dims_from_levels",
+        lambda levels, p, walls: handed.append((levels, walls)) or {},
+    )
+    fields = (None, 2, 3)
+    expected = {}
+    folded = spheres = 0
+    for g in _oracle_source_graphs():
+        adj = tuple(g.adj)
+        order = greedy_order(adj)
+        handed.clear()
+        swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), None)]
+        assert len(handed) == len(swept)
+        for w, (levels, walls) in zip(swept, handed):
+            folds, end = naive_fold_walk(g, frozenset(iter_bits(w)))
+            s = len(folds)
+            if not s:
+                continue
+            folded += 1
+            xs = mask_of(x for _, x in folds)
+            r = mask_of(end)
+            spheres += not r
+            for f in (f for level in levels[1:] for f in level):
+                assert f & xs == xs, (adj, w, f)
+                for u, x in folds:
+                    assert f & adj[u] & w == 1 << x, (adj, w, f, u)
+            sigma_r, walls_r = star_cluster(order, r) if r else (0, [])
+            assert sorted(walls) == sorted(walls_r + [adj[u] & w for u, _ in folds])
+            below = independent_sets_by_card(adj, r, sigma_r, len(levels) - 1 - s)
+            if sigma_r:
+                below[0] = []  # relative to sigma' the empty face drops out
+            assert levels[1:s] == [[]] * (s - 1), (adj, w)
+            assert [[f ^ xs for f in level] for level in levels[s:]] == below, (adj, w)
+            induced = _induced(adj, w)
+            if induced not in expected:
+                edges = [(u, v) for u, nbrs in enumerate(induced) for v in iter_bits(nbrs) if u < v]
+                h = new_graph(len(induced), edges)
+                expected[induced] = [reduced_homology_dims(h, FieldSpec(p)) for p in fields]
+            got = [homology_dims_from_levels(levels, p, walls) for p in fields]
+            assert got == expected[induced], (adj, w)
+    # of the 25778 kept subsets, 18538 fold at least once, and 17938 of
+    # these end at the empty set, where the listing is the one face X
+    assert (folded, spheres) == (18_538, 17_938)
 
 
 def test_leaf_chain_closes_only_contractible_complexes(monkeypatch):
