@@ -10,10 +10,11 @@ sweep over subsets skips any W that one rule, the fold lemma (Engstrom
 2009), proves contractible.  Let u be a vertex of r (W at first) with at most
 one neighbour in r.  With none, Ind(G_r) is a cone; with one, x, Ind(G_r) is
 the suspension of Ind(G_{r - N[x]}), and r gives way to r - N[x].  A walk
-that ends at a cone leaves Ind(G_W) contractible.  Each remaining subset
-gets an exact rank computation per boundary map, relative to the star
-cluster of an independent set of G_W, a contractible subcomplex: the
-walk's leaves plus a maximal independent set of the walk's end.
+that ends at a cone leaves Ind(G_W) contractible.  A walk that folds s
+times and ends at r leaves Ind(G_W) the s-fold suspension of Ind(G_r), so
+each remaining subset gets an exact rank computation per boundary map of
+Ind(G_r), shifted s degrees up and taken relative to the star cluster of a
+maximal independent set of G_r, a contractible subcomplex.
 
 Tables are sparse maps (i, j) -> beta_{i,i+j} with the unit entry (0,0) -> 1
 always present.  The alternating sum of a table is the numerator of the
@@ -100,26 +101,23 @@ def _hochster_terms(
     isolated in r lies in no N[x] of a later step, so a walk that passes
     a cone still ends at one.  A walk that finds no such vertex keeps W.
     The empty set is no cone, and Ind of the empty graph suspended is a
-    sphere, so a walk that ends there keeps W (P3 is one).  Each kept
-    complex is taken relative to the star cluster SC(sigma), where sigma
-    is the walk's leaves u_1 .. u_s plus the maximal independent set
-    sigma' that `star_cluster` grows over the end r in one `greedy_order`
-    per sweep (none when r is empty).  SC(sigma) is contractible (Barmak
-    2013) for any nonempty simplex sigma, maximal or not, so the relative
-    homology is the reduced homology of Ind(G_W).  Only the faces that
-    meet N(v) & W for every v in sigma are listed, and a face loses its
-    facet F - x when x is its only vertex in some N(v) & W.  Each such face
-    holds the leaves' neighbours X = {x_1 .. x_s} and meets N(u_i) & W only
-    in x_i, so it loses every F - x_i, and F -> F - X carries the chains
-    onto those of Ind(G_r) relative to SC(sigma'), s degrees down: the
-    fold lemma on chains.  The listing search starts from X and lists only
-    the faces of r; a walk that ends at the empty set lists the one face
-    X.  The listing runs to alpha(G_W), read from
-    one `independence_numbers` table per sweep, so that the dims stay dense
-    on -1 .. dim Ind(G_W) and each level still gets its one rank call.
-    Only that table and the order pass from one subset to the next.  This
-    is the one place where a complex is taken relative to a cluster;
-    `reduced_homology_dims` takes the whole complex.
+    sphere, so a walk that ends there keeps W (P3 is one).  A kept W whose
+    walk folds s times and ends at r has ~H_k(Ind G_W) = ~H_{k-s}(Ind G_r)
+    (Engstrom 2009), so only Ind(G_r) is listed, relative to the star
+    cluster SC(sigma) of the maximal independent set sigma that
+    `star_cluster` grows over r in one `greedy_order` per sweep (none when
+    r is empty, which lists the empty face alone).  SC(sigma) is
+    contractible (Barmak 2013), so the relative homology is the reduced
+    homology of Ind(G_r).  Only the faces that meet N(v) & r for every v in
+    sigma are listed, and a face loses its facet F - x when x is its only
+    vertex in some N(v) & r.  Below the listing go s empty levels, which
+    shift its dimensions s degrees up.  The listing runs to depth
+    alpha(G_W) - s, read from one `independence_numbers` table per sweep;
+    each fold takes at least one off alpha, its leaf, so the depth is at
+    least alpha(G_r).  The dims then stay dense on -1 .. dim Ind(G_W), and
+    each level up to alpha(G_W) still gets its one rank call.  Only that table and the order pass from
+    one subset to the next.  This is the one place where a complex is taken
+    relative to a cluster; `reduced_homology_dims` takes the whole complex.
     """
     if len(adj) > MAX_SWEEP_VERTICES:
         raise ValueError(f"graph has {len(adj)} > {MAX_SWEEP_VERTICES} vertices")
@@ -128,7 +126,7 @@ def _hochster_terms(
     for w in masks:
         # the fold walk from r = W; each step scans r from its lowest vertex
         r = m = w
-        leaves = 0
+        s = 0
         while m:
             low = m & -m
             m ^= low
@@ -136,22 +134,17 @@ def _hochster_terms(
             if x & (x - 1) == 0:
                 if not x:
                     break  # r is a cone: Ind(G_W) is contractible
-                leaves |= low
+                s += 1
                 r &= ~(x | adj[x.bit_length() - 1])
                 m = r
         else:
             # no vertex with at most one neighbour in r, the empty r included
             if w:
-                # sigma: a greedy set on r, plus the fold leaves, each with
-                # its wall N(u) & W
+                # Ind(G_W) is Ind(G_r) suspended s times: list r relative to
+                # a greedy set on it, s levels up
                 sigma, walls = star_cluster(order, r) if r else (0, [])
-                sigma |= leaves
-                while leaves:
-                    low = leaves & -leaves
-                    leaves ^= low
-                    walls.append(adj[low.bit_length() - 1] & w)
-                levels = independent_sets_by_card(adj, w, sigma, alpha[w])
-                yield w, homology_dims_from_levels(levels, p, walls)
+                levels = independent_sets_by_card(adj, r, sigma, alpha[w] - s)
+                yield w, homology_dims_from_levels([[]] * s + levels, p, walls)
 
 
 def betti_table(g: Graph, field: FieldSpec = FieldSpec(), jobs: int = 1) -> BettiTable:

@@ -17,15 +17,16 @@ equivalent to the simplex on sigma, so contractible.  Hence ~H_k(Ind G_W) =
 H_k(Ind G_W, SC(sigma)), and only the faces that meet N(v) for every v in
 sigma are listed and enter the matrices; sigma = {v} gives Adamaszek's
 (2012) cone v * Ind(G_{W - N[v]}).  Any nonempty simplex will do, maximal
-or not: the sweep's sigma is the leaves of its fold walk plus a greedy
-independent set of the walk's end.  The levels still run up to alpha(G_W),
-the largest face of the whole complex, so the dimensions stay dense on
--1 .. dim Ind(G_W).  A face's boundary row is one format in every field, the
-dict facet mask -> +-1, built afresh for each complex; relative to a
-cluster a face leaves out the facets that miss a wall.  Ranks are exact,
-taken by `matrix_rank` from the top level down with clearing (Chen and
-Kerber 2011): the row of a face that leads a reduced row of the map above
-is skipped.  Leads are facet masks in every field.
+or not.  The sweep takes the end r of its fold walk relative to a greedy
+independent set of G_r and shifts the listing s levels up, one per fold,
+since Ind(G_W) is Ind(G_r) suspended s times (Engstrom 2009).  The levels
+still run up to alpha(G_W), the largest face of the whole complex, so the
+dimensions stay dense on -1 .. dim Ind(G_W).  A face's boundary row is one
+format in every field, the dict facet mask -> +-1, built afresh for each
+complex; relative to a cluster a face leaves out the facets that miss a
+wall.  Ranks are exact, taken by `matrix_rank` from the top level down with
+clearing (Chen and Kerber 2011): the row of a face that leads a reduced row
+of the map above is skipped.  Leads are facet masks in every field.
 """
 
 from __future__ import annotations
@@ -134,29 +135,25 @@ def independent_sets_by_card(
     ``adj`` is the ambient adjacency bitset list; masks keep ambient vertex
     numbering.  Level c lists the kept c-vertex sets in a fixed deterministic
     order (lexicographic by increasing vertex list), so a kept face comes in
-    the order the whole listing gives it.  Level 0 is always ``[0]``.  The
+    the order the whole listing gives it.  Level 0 is ``[0]`` when *sigma*
+    is 0 and ``[]`` otherwise, since the empty face meets no N(v).  The
     levels end at the largest kept face, or at level *depth* when one is
     given, which must be at least that size.
 
     For an independent *sigma* these are the faces of Ind(G_vmask) outside
-    the star cluster of sigma.  Forced vertices come first: a vertex of
-    sigma with one available neighbour x puts x in every kept face, so x
-    is taken and N[x] leaves the available and the pending vertices, until
-    no pending vertex has one available neighbour; one with none leaves no
-    face to keep.  Since every kept face holds the forced part, faces of
-    one size keep their order.  One search lists the rest: it keeps the
+    the star cluster of sigma.  One search lists them: it keeps the
     vertices of sigma that the partial face does not dominate yet, and
     takes next only a vertex at or below the highest available neighbour
     of each, since later choices only remove vertices: a branch ends once
     one of them has no neighbour left in ``avail``.  Once the face
     dominates sigma nothing is pending and every extension is listed, so
-    with *sigma* 0 every face is kept.  In the sweep the fold leaves of
-    sigma force their neighbours, and the search runs on the fold end.
+    with *sigma* 0 every face is kept.
     """
     levels: list[list[int]] = [
         [] for _ in range((vmask.bit_count() if depth is None else depth) + 1)
     ]
-    levels[0].append(0)
+    if not sigma:
+        levels[0].append(0)
 
     def seek(mask: int, size: int, avail: int, pending: int) -> None:
         # pending: the vertices of sigma that mask does not dominate yet
@@ -179,27 +176,7 @@ def independent_sets_by_card(
             if rest:
                 seek(sub, size + 1, rest, left)
 
-    # the forced vertices first; a pending vertex left with no available
-    # neighbour keeps nothing
-    face, avail, pending = 0, vmask & ~sigma, sigma
-    m = pending
-    while m:
-        low = m & -m
-        m ^= low
-        x = adj[low.bit_length() - 1] & avail
-        if x & (x - 1) == 0:
-            if not x:
-                break
-            face |= x
-            nbrs = adj[x.bit_length() - 1]
-            avail &= ~(x | nbrs)
-            pending &= ~nbrs
-            m = pending
-    else:
-        size = face.bit_count()
-        if face and not pending:
-            levels[size].append(face)
-        seek(face, size, avail, pending)
+    seek(0, 0, vmask & ~sigma, sigma)
     if depth is None:
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
@@ -233,7 +210,7 @@ def greedy_order(adj: Sequence[int]) -> list[tuple[int, int]]:
 def star_cluster(order: Sequence[tuple[int, int]], w: int) -> tuple[int, list[int]]:
     """A maximal independent set sigma of G_W and its walls N(v) & W, one
     for each v in sigma, in the order they join it.  The sweep calls it on
-    the end r of its fold walk, not on W, and adds the fold leaves.
+    the end r of its fold walk, not on W.
 
     sigma is grown greedily over W in *order*, from `greedy_order`: a
     vertex joins when none of its neighbours has, so sigma starts at the
@@ -264,26 +241,27 @@ def homology_dims_from_levels(
 ) -> HomologyProfile:
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
-    ``levels[c]`` must list the c-vertex faces; ``levels[0] == [0]``.  Returns
-    a dense map k -> dim ~H_k for k = -1 .. dim.  Coefficients are QQ when
-    *p* is None, GF(p) otherwise.  A face's boundary row is the dict facet
-    mask -> +-1 in every field, built here for every listed face that
-    clearing does not skip.
+    ``levels[c]`` must list the c-vertex faces, ``levels[0] == [0]`` for a
+    whole complex.  Returns a dense map k -> dim ~H_k for k = -1 .. dim.
+    Coefficients are QQ when *p* is None, GF(p) otherwise.  A face's
+    boundary row is the dict facet mask -> +-1 in every field, built here
+    for every listed face that clearing does not skip.
 
     With *walls*, the sets N(v) & W for the vertices v of an independent
-    set sigma of G_W (in the sweep: the fold leaves and the `star_cluster`
-    sigma' of the fold end, not a maximal set), ``levels[c]`` must list the
-    c-vertex faces of Ind(G_W) that meet every wall, as
-    ``independent_sets_by_card(adj, W, sigma)`` gives them, and the
-    dimensions are taken relative to the star cluster SC(sigma), the faces
-    that miss some wall.  A face F loses its facet F - x exactly when x is
-    the only vertex of F in some wall: F - x misses that wall, and the row
-    of F is built without it.  Since SC(sigma) is contractible the
-    dimensions are those of the whole complex.  With no *walls* every
-    listed face is kept, for any complex.  A level whose level below lists
-    nothing, or level 1 of a relative complex, where the empty face is in
-    the cluster, has zero rows: they are built without the wall and bit
-    loops, and still go to `matrix_rank`, one call per level.
+    set sigma of G_W (in the sweep W is the fold end, sigma its
+    `star_cluster` set), ``levels[c]`` must list the c-vertex faces of
+    Ind(G_W) that meet every wall, as ``independent_sets_by_card(adj, W,
+    sigma)`` gives them, and the dimensions are taken relative to the star
+    cluster SC(sigma), the faces that miss some wall.  The empty face
+    misses every wall, so level 0 is empty.  A face F loses its facet F - x
+    exactly when x is the only vertex of F in some wall: F - x misses that
+    wall, and the row of F is built without it.  Since SC(sigma) is
+    contractible the dimensions are those of the whole complex.  With no
+    *walls* every listed face is kept, for any complex.  Empty levels put
+    below a listing shift its dimensions up one degree each, as the sweep's
+    folds do.  A level whose level below lists nothing has zero rows: they
+    are built without the wall and bit loops, and still go to
+    `matrix_rank`, one call per level.
     """
     top = len(levels) - 1
     # dims[c] = dim ~H_{c-1}, filled from the top level down
@@ -296,9 +274,9 @@ def homology_dims_from_levels(
     cleared: Collection[int] = ()
     for c in range(top, 0, -1):
         level = levels[c]
-        if not levels[c - 1] or (c == 1 and walls):
-            # nothing listed below, or only the empty face of a relative
-            # complex: every row is zero, and still goes to matrix_rank
+        if not levels[c - 1]:
+            # nothing listed below: every row is zero, and still goes to
+            # matrix_rank
             matrix = [{} for face in level if face not in cleared] if level else []
         else:
             matrix = []
@@ -326,8 +304,7 @@ def homology_dims_from_levels(
         above = rank
         # most levels of a relative complex lead nothing: no set for them
         cleared = set(leads) if leads else ()
-    # the empty face is kept unless the complex is relative to a cluster
-    dims[0] = (0 if walls else len(levels[0])) - above
+    dims[0] = len(levels[0]) - above
     for c, d in enumerate(dims):
         if d < 0:
             raise InvariantError(f"negative homology dimension at k={c - 1}")

@@ -85,19 +85,44 @@ def test_independent_sets_by_card_path():
     # restricted to a sub-mask the ambient numbering is kept
     levels = independent_sets_by_card(g.adj, 0b110)
     assert levels == [[0], [0b010, 0b100]]
-    # only the faces that miss sigma and meet N(v) for every v in sigma; the
-    # levels end at the largest one
-    assert independent_sets_by_card(g.adj, 0b111, 0b010) == [[0], [0b001, 0b100], [0b101]]
-    assert independent_sets_by_card(g.adj, 0b111, 0b001) == [[0], [0b010]]
+    # only the faces that miss sigma and meet N(v) for every v in sigma, so
+    # not the empty face; the levels end at the largest one
+    assert independent_sets_by_card(g.adj, 0b111, 0b010) == [[], [0b001, 0b100], [0b101]]
+    assert independent_sets_by_card(g.adj, 0b111, 0b001) == [[], [0b010]]
     # sigma = {0, 2} is the path's star cluster simplex: both walls are N(1)
     assert star_cluster(greedy_order(g.adj), 0b111) == (0b101, [0b010, 0b010])
-    assert independent_sets_by_card(g.adj, 0b111, 0b101) == [[0], [0b010]]
+    assert independent_sets_by_card(g.adj, 0b111, 0b101) == [[], [0b010]]
     # with a depth the levels run to it, padded with empty ones
-    assert independent_sets_by_card(g.adj, 0b111, 0b001, 2) == [[0], [0b010], []]
+    assert independent_sets_by_card(g.adj, 0b111, 0b001, 2) == [[], [0b010], []]
     # in the path 0-1-2-3, sigma = {0, 3} needs both 1 and 2, which are
     # adjacent: nothing is kept
     p4 = new_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert independent_sets_by_card(p4.adj, 0b1111, 0b1001) == [[0]]
+    assert independent_sets_by_card(p4.adj, 0b1111, 0b1001) == [[]]
+
+
+def test_empty_face_is_listed_only_without_sigma():
+    # The empty face misses every wall, so it lies in the star cluster of
+    # any nonempty sigma and is listed only when sigma is empty.  P3 relative
+    # to sigma = {1} then lists the two ends and the edge between them, and
+    # level 1 gets zero rows because level 0 is empty: its dims are those
+    # of Ind(P3), a point and an edge, with the walls or without them, since
+    # the wall N(1) = {0, 2} drops no facet of {0, 2}.
+    p3 = new_graph(3, [(0, 1), (1, 2)])
+    levels = independent_sets_by_card(p3.adj, 0b111, 0b010)
+    assert levels == [[], [0b001, 0b100], [0b101]]
+    for p in (None, 2, 3):
+        want = reduced_homology_dims(p3, FieldSpec(p))
+        assert want == {-1: 0, 0: 1, 1: 0}
+        assert homology_dims_from_levels(levels, p, [0b101]) == want
+        assert homology_dims_from_levels(levels, p) == want
+    # every independent sigma of every W of C5 and of P5
+    c5, p5 = (new_graph(5, [(i, (i + 1) % 5) for i in range(k)]) for k in (5, 4))
+    for g in (c5, p5):
+        for w in range(1 << 5):
+            for level in independent_sets_by_card(g.adj, w):
+                for sigma in level:
+                    got = independent_sets_by_card(g.adj, w, sigma)[0]
+                    assert got == ([] if sigma else [0]), (g.adj, w, sigma)
 
 
 def test_independent_sets_match_oracle():
@@ -113,14 +138,16 @@ def test_independent_sets_match_oracle():
         assert got == expected
 
 
-def test_forced_vertices_keep_the_filtered_listing():
-    # A vertex of sigma with one available neighbour x puts x in every kept
-    # face, and the listing starts from the forced vertices.  For random
-    # independent sets sigma of G_W that are not maximal, the listing is
-    # the whole listing filtered to the faces that meet N(v) & W for every
-    # v in sigma, in the same order and padded to alpha(G_W).
+def test_pending_vertices_keep_the_filtered_listing():
+    # The search keeps the vertices of sigma that the partial face does not
+    # dominate yet, and takes next only a vertex at or below the highest
+    # available neighbour of each.  For random independent sets sigma of G_W
+    # that are not maximal, the listing is the whole listing filtered to the
+    # faces that meet N(v) & W for every v in sigma, in the same order and
+    # padded to alpha(G_W); the empty face meets every wall only when
+    # sigma is empty.
     rng = random.Random(25)
-    checked = forced = 0
+    checked = one_neighbour = 0
     while checked < 2_000:
         n = rng.randint(2, 9)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
@@ -133,26 +160,27 @@ def test_forced_vertices_keep_the_filtered_listing():
             continue  # maximal, or the empty face of an empty G_W
         walls = [adj[v] & w for v in iter_bits(sigma)]
         levels = independent_sets_by_card(adj, w, sigma, len(whole) - 1)
-        assert levels == [[0]] + [
-            [f for f in level if all(f & wall for wall in walls)] for level in whole[1:]
+        assert levels == [
+            [f for f in level if all(f & wall for wall in walls)] for level in whole
         ], (adj, w, sigma)
         checked += 1
-        forced += any(wall.bit_count() == 1 for wall in walls)
-    # 554 of them force a vertex
-    assert forced > 500
-    # 0 - 1 - 2 and the lone vertex 3: sigma = {0} forces 1, and sigma = {3}
-    # leaves no neighbour for 3, so only level 0 is listed
+        one_neighbour += any(wall.bit_count() == 1 for wall in walls)
+    # 554 of them have a vertex of sigma with one neighbour in W
+    assert one_neighbour > 500
+    # 0 - 1 - 2 and the lone vertex 3: every face kept relative to sigma =
+    # {0} holds 1, and sigma = {3} has no neighbour to meet, so nothing is
+    # listed
     g = new_graph(4, [(0, 1), (1, 2)])
-    assert independent_sets_by_card(g.adj, 0b1111, 0b0001) == [[0], [0b0010], [0b1010]]
-    assert independent_sets_by_card(g.adj, 0b1111, 0b1000) == [[0]]
-    assert independent_sets_by_card(g.adj, 0b1111, 0b1001, 3) == [[0], [], [], []]
-    # in 0 - 1 - 2 - 3 - 4, sigma = {0, 3}: 0 forces 1, which takes 2 from
-    # 3, so 3 is left with 4 alone, and {1, 4} is the one kept face; in
-    # W = {1, 2, 3, 4}, sigma = {1, 4}: 1 forces 2, which takes 3, the only
-    # neighbour of 4, and nothing is kept
+    assert independent_sets_by_card(g.adj, 0b1111, 0b0001) == [[], [0b0010], [0b1010]]
+    assert independent_sets_by_card(g.adj, 0b1111, 0b1000) == [[]]
+    assert independent_sets_by_card(g.adj, 0b1111, 0b1001, 3) == [[], [], [], []]
+    # in 0 - 1 - 2 - 3 - 4, sigma = {0, 3}: a kept face holds 1, which takes
+    # 2 from 3, so it holds 4 too, and {1, 4} is the one kept face; in
+    # W = {1, 2, 3, 4}, sigma = {1, 4}: a kept face holds 2, which takes 3,
+    # the only neighbour of 4, and nothing is kept
     p5 = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert independent_sets_by_card(p5.adj, 0b11111, 0b01001) == [[0], [], [0b10010]]
-    assert independent_sets_by_card(p5.adj, 0b11110, 0b10010) == [[0]]
+    assert independent_sets_by_card(p5.adj, 0b11111, 0b01001) == [[], [], [0b10010]]
+    assert independent_sets_by_card(p5.adj, 0b11110, 0b10010) == [[]]
 
 
 def test_star_cluster():
@@ -171,12 +199,12 @@ def test_star_cluster():
     # sigma = {0} holds vertex 1 and none of 0, 2 and 4: {1} and {1, 3}.
     # Vertex 3's only neighbour is 2, which leaves {2} with any of 0 and 4.
     # Relative to the greedy sigma = {0, 3, 4} a kept face would hold both 1
-    # and 2, an edge, so only the empty face is kept, padded to alpha = 3.
-    assert independent_sets_by_card(g.adj, 0b11111, 0b00001) == [[0], [0b00010], [0b01010]]
+    # and 2, an edge, so nothing is kept: the levels are padded to alpha = 3.
+    assert independent_sets_by_card(g.adj, 0b11111, 0b00001) == [[], [0b00010], [0b01010]]
     assert independent_sets_by_card(g.adj, 0b11111, 0b01000) == [
-        [0], [0b00100], [0b00101, 0b10100], [0b10101]
+        [], [0b00100], [0b00101, 0b10100], [0b10101]
     ]
-    assert independent_sets_by_card(g.adj, 0b11111, 0b11001, 3) == [[0], [], [], []]
+    assert independent_sets_by_card(g.adj, 0b11111, 0b11001, 3) == [[], [], [], []]
     # vertex 3 is isolated in W = {0, 1, 3}, so Ind(G_W) is a cone, and the
     # sweep closes it; W = {} is no subset the sweep yields either
     assert has_isolated_vertex(g.adj, 0b01011)
@@ -358,21 +386,23 @@ def _oracle_source_graphs():
 
 
 def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
-    # For each kept W the listing keeps only the faces that meet every wall
-    # of sigma, the walk's fold leaves plus the `star_cluster` sigma' of the
-    # fold end r, in the order of the whole listing, and pads the levels up
-    # to alpha(G_W) so that the level count, and with it the rank calls and
-    # the dense dims, stay those of the whole complex.  Every W whose leaf
-    # chain does not end at a cone is listed here directly, from the
-    # oracle's folds; then the sweep must hand on exactly these subsets,
-    # each with the listing and walls taken here.
+    # For each kept W whose walk folds s times and ends at r, the listing
+    # keeps only the faces of Ind(G_r) that meet every wall of the
+    # `star_cluster` sigma' of r, in the order of the whole listing of r;
+    # the empty face meets every wall only when there are none, at r empty.
+    # The levels are padded to alpha(G_W) - s, and with the s empty levels
+    # below them the level count, and with it the rank calls and the dense
+    # dims, stay those of the whole complex of G_W.  Every W whose walk does
+    # not end at a cone is listed here directly, from the oracle's folds;
+    # then the sweep must hand on exactly these subsets, each with the
+    # levels and walls taken here.
     handed = []
     monkeypatch.setattr(
         betti,
         "homology_dims_from_levels",
         lambda levels, p, walls: handed.append((levels, walls)) or {},
     )
-    kept = one_neighbour = 0
+    kept = folded = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
         alpha = independence_numbers(adj)
@@ -384,38 +414,34 @@ def test_star_listing_is_the_filtered_whole_listing(monkeypatch):
             folds, end = naive_fold_walk(g, frozenset(iter_bits(w)))
             if end is None:
                 continue
-            sigma, walls = star_cluster(order, mask_of(end)) if end else (0, [])
-            sigma |= mask_of(u for u, _ in folds)
-            walls += [adj[u] & w for u, _ in sorted(folds)]
-            levels = independent_sets_by_card(adj, w, sigma, alpha[w])
+            s, r = len(folds), mask_of(end)
+            sigma, walls = star_cluster(order, r) if r else (0, [])
+            # a vertex of sigma' with one neighbour in r would have folded
+            assert all(wall.bit_count() > 1 for wall in walls), (adj, w)
+            assert alpha[w] - s >= alpha[r], (adj, w)
+            filtered = [[f for f in level if all(f & wall for wall in walls)] for level in whole[r]]
+            levels = [[]] * s + filtered + [[]] * (alpha[w] - s - alpha[r])
             assert len(levels) == len(whole[w]), (adj, w)
-            assert levels == [[0]] + [
-                [f for f in level if all(f & wall for wall in walls)] for level in whole[w][1:]
-            ]
-            # a vertex of sigma with one neighbour x in W puts x in every
-            # kept face, so no neighbour of x is ever listed with it
-            one_neighbour += any(wall.bit_count() == 1 for wall in walls)
+            folded += s > 0
             direct[w] = levels, walls
         handed.clear()
         swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), 2)]
         assert swept == list(direct)
         assert handed == [direct[w] for w in swept]
         kept += len(swept)
-    # The sweep hands on 25778 subsets, and 18538 have a wall of one vertex:
-    # those that fold, since the first leaf's wall is {x_1}, and a vertex of
-    # sigma' with one neighbour in r would have folded.
+    # The sweep hands on 25778 subsets, and the walks of 18538 of them fold.
     assert kept == 25_778
-    assert one_neighbour == 18_538
+    assert folded == 18_538
 
 
-def test_fold_leaves_split_off_at_chain_level(monkeypatch):
-    # Let the walk fold s >= 1 times, at leaves u_i with neighbours x_i, and
-    # end at r.  Every kept face contains X = {x_1 .. x_s} and meets the
-    # wall N(u_i) & W of each leaf only in x_i, so it loses every facet
-    # F - x_i, and F -> F - X maps the W listing onto the listing of r
-    # relative to the `star_cluster` sigma' of r, s levels down: the fold
-    # lemma at the level of chains.  The dimensions are those of the whole
-    # complex in QQ, GF(2) and GF(3).
+def test_fold_end_is_listed_s_levels_up(monkeypatch):
+    # Let the walk fold s times and end at r.  By the fold lemma Ind(G_W) is
+    # Ind(G_r) suspended s times, so ~H_k(Ind G_W) = ~H_{k-s}(Ind G_r), and
+    # the sweep hands on s empty levels, then the listing of r relative to
+    # the `star_cluster` sigma' of r down to depth alpha(G_W) - s, with the
+    # walls of sigma'.  A walk that ends at the empty set lists the empty
+    # face alone, s levels up: the sphere S^(s-1).  The dimensions are those
+    # of the whole complex of G_W in QQ, GF(2) and GF(3).
     handed = []
     monkeypatch.setattr(
         betti,
@@ -427,30 +453,24 @@ def test_fold_leaves_split_off_at_chain_level(monkeypatch):
     folded = spheres = 0
     for g in _oracle_source_graphs():
         adj = tuple(g.adj)
+        alpha = independence_numbers(adj)
         order = greedy_order(adj)
         handed.clear()
         swept = [w for w, _ in betti._hochster_terms(adj, range(1, 1 << g.n), None)]
         assert len(handed) == len(swept)
         for w, (levels, walls) in zip(swept, handed):
             folds, end = naive_fold_walk(g, frozenset(iter_bits(w)))
-            s = len(folds)
+            s, r = len(folds), mask_of(end)
+            sigma, walls_r = star_cluster(order, r) if r else (0, [])
+            assert walls == walls_r, (adj, w)
+            below = independent_sets_by_card(adj, r, sigma, alpha[w] - s)
+            assert levels == [[]] * s + below, (adj, w)
             if not s:
                 continue
             folded += 1
-            xs = mask_of(x for _, x in folds)
-            r = mask_of(end)
-            spheres += not r
-            for f in (f for level in levels[1:] for f in level):
-                assert f & xs == xs, (adj, w, f)
-                for u, x in folds:
-                    assert f & adj[u] & w == 1 << x, (adj, w, f, u)
-            sigma_r, walls_r = star_cluster(order, r) if r else (0, [])
-            assert sorted(walls) == sorted(walls_r + [adj[u] & w for u, _ in folds])
-            below = independent_sets_by_card(adj, r, sigma_r, len(levels) - 1 - s)
-            if sigma_r:
-                below[0] = []  # relative to sigma' the empty face drops out
-            assert levels[1:s] == [[]] * (s - 1), (adj, w)
-            assert [[f ^ xs for f in level] for level in levels[s:]] == below, (adj, w)
+            if not r:
+                spheres += 1
+                assert levels[s] == [0] and not any(levels[s + 1 :]), (adj, w)
             induced = _induced(adj, w)
             if induced not in expected:
                 edges = [(u, v) for u, nbrs in enumerate(induced) for v in iter_bits(nbrs) if u < v]
@@ -459,7 +479,7 @@ def test_fold_leaves_split_off_at_chain_level(monkeypatch):
             got = [homology_dims_from_levels(levels, p, walls) for p in fields]
             assert got == expected[induced], (adj, w)
     # of the 25778 kept subsets, 18538 fold at least once, and 17938 of
-    # these end at the empty set, where the listing is the one face X
+    # these end at the empty set
     assert (folded, spheres) == (18_538, 17_938)
 
 
@@ -623,8 +643,8 @@ def test_every_maximal_sigma_gives_the_whole_homology():
             for sigma in maximal:
                 walls = [adj[v] & w for v in iter_bits(sigma)]
                 levels = independent_sets_by_card(adj, w, sigma, len(whole) - 1)
-                assert levels == [[0]] + [
-                    [f for f in level if all(f & wall for wall in walls)] for level in whole[1:]
+                assert levels == [
+                    [f for f in level if all(f & wall for wall in walls)] for level in whole
                 ], (adj, w, sigma)
                 got = [homology_dims_from_levels(levels, p, walls) for p in fields]
                 assert got == expected[induced], (adj, w, sigma)
