@@ -143,11 +143,8 @@ def independent_sets_by_card(
     For an independent *sigma* these are the faces of Ind(G_vmask) outside
     the star cluster of sigma.  One search lists them: it keeps the
     vertices of sigma that the partial face does not dominate yet, and
-    takes next only a vertex at or below the highest available neighbour
-    of each, since later choices only remove vertices: a branch ends once
-    one of them has no neighbour left in ``avail``.  Once the face
-    dominates sigma nothing is pending and every extension is listed, so
-    with *sigma* 0 every face is kept.
+    lists a face only when none is pending, so with *sigma* 0 every face
+    is kept.
     """
     levels: list[list[int]] = [
         [] for _ in range((vmask.bit_count() if depth is None else depth) + 1)
@@ -157,15 +154,8 @@ def independent_sets_by_card(
 
     def seek(mask: int, size: int, avail: int, pending: int) -> None:
         # pending: the vertices of sigma that mask does not dominate yet
-        cand = avail
-        m = pending
-        while m:
-            low = m & -m
-            m ^= low
-            cand &= (1 << (adj[low.bit_length() - 1] & avail).bit_length()) - 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
+        while avail:
+            low = avail & -avail
             avail ^= low
             sub = mask | low
             nbrs = adj[low.bit_length() - 1]
@@ -256,12 +246,12 @@ def homology_dims_from_levels(
     misses every wall, so level 0 is empty.  A face F loses its facet F - x
     exactly when x is the only vertex of F in some wall: F - x misses that
     wall, and the row of F is built without it.  Since SC(sigma) is
-    contractible the dimensions are those of the whole complex.  With no
-    *walls* every listed face is kept, for any complex.  Empty levels put
-    below a listing shift its dimensions up one degree each, as the sweep's
-    folds do.  A level whose level below lists nothing has zero rows: they
-    are built without the wall and bit loops, and still go to
-    `matrix_rank`, one call per level.
+    contractible the dimensions are those of the whole complex.  A relative
+    listing needs its walls: without them a face keeps every facet, listed
+    or not.  With no *walls* every listed face is kept, for any complex.
+    Empty levels put below a listing shift its dimensions up one degree
+    each, as the sweep's folds do; each level still gets its one
+    `matrix_rank` call.
     """
     top = len(levels) - 1
     # dims[c] = dim ~H_{c-1}, filled from the top level down
@@ -274,30 +264,25 @@ def homology_dims_from_levels(
     cleared: Collection[int] = ()
     for c in range(top, 0, -1):
         level = levels[c]
-        if not levels[c - 1]:
-            # nothing listed below: every row is zero, and still goes to
-            # matrix_rank
-            matrix = [{} for face in level if face not in cleared] if level else []
-        else:
-            matrix = []
-            for face in level:
-                if face in cleared:
-                    continue
-                drop = 0
-                for wall in walls:
-                    x = face & wall
-                    if x & (x - 1) == 0:
-                        drop |= x
-                row = {}
-                sign = 1
-                m = face
-                while m:
-                    low = m & -m
-                    m ^= low
-                    if not low & drop:
-                        row[face ^ low] = sign
-                    sign = -sign
-                matrix.append(row)
+        matrix = []
+        for face in level:
+            if face in cleared:
+                continue
+            drop = 0
+            for wall in walls:
+                x = face & wall
+                if x & (x - 1) == 0:
+                    drop |= x
+            row = {}
+            sign = 1
+            m = face
+            while m:
+                low = m & -m
+                m ^= low
+                if not low & drop:
+                    row[face ^ low] = sign
+                sign = -sign
+            matrix.append(row)
         leads = matrix_rank(matrix, p)
         rank = len(leads)
         dims[c] = len(level) - rank - above

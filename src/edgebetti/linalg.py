@@ -10,9 +10,8 @@ GF(p), p = 2 included, every entry is reduced mod p, and pivots are scaled
 to lead with 1.  Over the rationals a lead of +-1 keeps the pivot in plain
 ints, which for simplicial boundary matrices is almost always the case; any
 other lead is divided out as an exact ``Fraction``, so the result is exact
-in every case.  A row whose entries are all +-1 is taken as it is, with no
-mod-p copy over GF(p).  The work is deterministic: rows are taken in the
-order given, and copied, never changed.
+in every case.  The work is deterministic: rows are taken in the order
+given, and copied, never changed.
 
 It returns the lead columns of the echelon, the highest column of each
 reduced row, so the rank is their count.  The set of leads depends only on
@@ -25,15 +24,13 @@ from fractions import Fraction
 
 Row = dict[int, int]
 
-_UNITS = frozenset((1, -1))
-
 
 def matrix_rank(rows: list[Row], p: int | None = None) -> list[int]:
     """Lead columns (highest) of an integer matrix over QQ (p None) or GF(p),
     p prime."""
     pivots: dict[int, Row] = {}
     for row in rows:
-        if p is None or _UNITS.issuperset(row.values()):
+        if p is None:
             r = dict(row)
         else:
             r = {c: v % p for c, v in row.items() if v % p}

@@ -3,7 +3,9 @@
 Everything here recomputes results straight from definitions with none of
 the package's shortcuts: dense sympy matrices over the rationals, no cone
 pruning, vertex sets as frozensets, exhaustive searches.  Slow on purpose —
-keep inputs to n <= 6 or so.
+keep inputs to n <= 6 or so.  The one exception is `link_regularity`, which
+reads the regularity off a different formula and takes each link's homology
+from the package's whole-complex path, not from the sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import sympy
+
+from edgebetti.graphs import new_graph
+from edgebetti.homology import reduced_homology_dims
 
 
 def edge_set(g) -> set[frozenset[int]]:
@@ -96,6 +101,31 @@ def naive_fold_walk(g, w: frozenset[int]) -> tuple[list[tuple[int, int]], frozen
         (x,) = nbrs[leaves[0]]
         folds.append((leaves[0], x))
         r -= nbrs[x] | {x}
+
+
+def link_regularity(g, field) -> int:
+    """Castelnuovo-Mumford regularity of S/I(g) over *field*, read off the
+    links of Ind(g), with no Betti table.
+
+    Hochster's formula for local cohomology (Bruns and Herzog, Cohen-Macaulay
+    Rings, Thm 5.3.8) gives reg = the largest k + 1 with ~H_k(lk F) != 0 over
+    the faces F of Ind(g), and the link of an independent set F is
+    Ind(g - N[F]).  Each distinct link is taken once, by the package's
+    `reduced_homology_dims` of the induced subgraph, the whole complex with
+    no sweep.  A maximal F has the link {emptyset}, so the result is >= 0.
+    """
+    edges = edge_set(g)
+    links = {
+        frozenset(v for v in range(g.n) if all(v != u and frozenset((u, v)) not in edges for u in f))
+        for f in independent_subsets(g, frozenset(range(g.n)))
+    }
+    reg = 0
+    for link in links:
+        pos = {v: k for k, v in enumerate(sorted(link))}
+        h = new_graph(len(pos), [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos])
+        dims = reduced_homology_dims(h, field)
+        reg = max(reg, max((k + 1 for k, d in dims.items() if d), default=0))
+    return reg
 
 
 def naive_betti_table(g) -> dict[tuple[int, int], int]:

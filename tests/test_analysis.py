@@ -15,8 +15,12 @@ from edgebetti.analysis import (
     render_table,
 )
 from edgebetti.betti import BettiTable, betti_table
+from edgebetti.enumeration import all_chordal_graphs
 from edgebetti.graphs import induced_matching_number, new_graph
-from edgebetti.homology import InvariantError
+from edgebetti.homology import FieldSpec, InvariantError
+
+from oracles import link_regularity
+from test_betti import RP2_WITNESS
 
 
 def table(n, entries):
@@ -112,6 +116,26 @@ def test_regularity_at_least_induced_matching_number():
         g = new_graph(n, [e for e in pairs if rng.random() < 0.4])
         t = betti_table(g)
         assert regularity(t) >= induced_matching_number(g)
+
+
+def test_regularity_from_links_equals_the_table_regularity():
+    # Hochster's local-cohomology formula reads the regularity off the links
+    # of Ind(G), with no Betti table: it must equal the table's largest
+    # strand on every chordal graph up to 6 vertices, on 60 random graphs,
+    # and on the RP^2 witness, whose GF(2) torsion raises it from 2 to 3.
+    cases = [(g, None) for n in range(1, 7) for g in all_chordal_graphs(n)]
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        g = new_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        cases += [(g, None), (g, 2)]
+    for g, p in cases:
+        field = FieldSpec(p)
+        assert link_regularity(g, field) == regularity(betti_table(g, field)), (g, p)
+    for p, want in ((None, 2), (2, 3), (3, 2)):
+        field = FieldSpec(p)
+        assert link_regularity(RP2_WITNESS, field) == want
+        assert regularity(betti_table(RP2_WITNESS, field)) == want
 
 
 def test_render_grid():

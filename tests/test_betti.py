@@ -211,7 +211,8 @@ def _seeded_sweep_graph():
             return g
 
 
-# betti_table of _seeded_sweep_graph(), the same over QQ, GF(2) and GF(3).
+# betti_table of _seeded_sweep_graph(), the same over QQ, GF(2), GF(3) and
+# GF(2^61 - 1).
 SWEEP_GRAPH_TABLE = {
     (0, 0): 1, (1, 1): 26, (2, 1): 76, (2, 2): 74, (3, 1): 78, (3, 2): 412,
     (3, 3): 11, (4, 1): 38, (4, 2): 903, (4, 3): 73, (5, 1): 12, (5, 2): 1091,
@@ -221,7 +222,9 @@ SWEEP_GRAPH_TABLE = {
 }
 
 
-@pytest.mark.parametrize("p", [None, 2, 3])
+# 2^61 - 1: every GF(p) row is copied mod p, and no other table test takes
+# residues this large
+@pytest.mark.parametrize("p", [None, 2, 3, 2**61 - 1])
 def test_golden_table_of_a_non_chordal_13_vertex_graph(p):
     assert betti_table(_seeded_sweep_graph(), FieldSpec(p)).entries == SWEEP_GRAPH_TABLE
 
