@@ -24,9 +24,13 @@ still run up to alpha(G_W), the largest face of the whole complex, so the
 dimensions stay dense on -1 .. dim Ind(G_W).  A face's boundary row is one
 format in every field, the dict facet mask -> +-1, built afresh for each
 complex; relative to a cluster a face leaves out the facets that miss a
-wall.  Ranks are exact, taken by `matrix_rank` from the top level down with
+wall.  A face that loses every facet has a zero row: it is a cycle, and
+its row is never built.  Almost every face of a fold end's listing is one.
+Ranks are exact, taken by `matrix_rank` from the top level down with
 clearing (Chen and Kerber 2011): the row of a face that leads a reduced row
-of the map above is skipped.  Leads are facet masks in every field.
+of the map above is skipped.  Each level gets one `matrix_rank` call,
+whatever it holds, and the dimensions are written from the top degree down.
+Leads are facet masks in every field.
 """
 
 from __future__ import annotations
@@ -232,10 +236,12 @@ def homology_dims_from_levels(
     """Reduced homology dimensions of a complex given by faces-per-cardinality.
 
     ``levels[c]`` must list the c-vertex faces, ``levels[0] == [0]`` for a
-    whole complex.  Returns a dense map k -> dim ~H_k for k = -1 .. dim.
-    Coefficients are QQ when *p* is None, GF(p) otherwise.  A face's
-    boundary row is the dict facet mask -> +-1 in every field, built here
-    for every listed face that clearing does not skip.
+    whole complex.  Returns a dense map k -> dim ~H_k for k = -1 .. dim,
+    each written as the rank loop reaches it, so the keys run from the top
+    degree down.  Coefficients are QQ when *p* is None, GF(p) otherwise.  A
+    face's boundary row is the dict facet mask -> +-1 in every field, built
+    here for every listed face that clearing does not skip and whose row is
+    not zero.
 
     With *walls*, the sets N(v) & W for the vertices v of an independent
     set sigma of G_W (in the sweep W is the fold end, sigma its
@@ -245,17 +251,18 @@ def homology_dims_from_levels(
     cluster SC(sigma), the faces that miss some wall.  The empty face
     misses every wall, so level 0 is empty.  A face F loses its facet F - x
     exactly when x is the only vertex of F in some wall: F - x misses that
-    wall, and the row of F is built without it.  Since SC(sigma) is
+    wall, and the row of F is built without it.  When every vertex of F is
+    alone in some wall the row is zero: F is a cycle, counted in its level,
+    and no row of it is built or handed to the rank.  Since SC(sigma) is
     contractible the dimensions are those of the whole complex.  A relative
     listing needs its walls: without them a face keeps every facet, listed
     or not.  With no *walls* every listed face is kept, for any complex.
     Empty levels put below a listing shift its dimensions up one degree
     each, as the sweep's folds do; each level still gets its one
-    `matrix_rank` call.
+    `matrix_rank` call, with no rows when all of its rows are zero.
     """
     top = len(levels) - 1
-    # dims[c] = dim ~H_{c-1}, filled from the top level down
-    dims = [0] * (top + 1)
+    dims: HomologyProfile = {}
     # rank of the boundary map from the level above
     above = 0
     # A face that leads a reduced row z of the map above is a face of the
@@ -273,6 +280,9 @@ def homology_dims_from_levels(
                 x = face & wall
                 if x & (x - 1) == 0:
                     drop |= x
+            if drop == face:
+                # every facet misses a wall: a zero row, and face a cycle
+                continue
             row = {}
             sign = 1
             m = face
@@ -285,15 +295,16 @@ def homology_dims_from_levels(
             matrix.append(row)
         leads = matrix_rank(matrix, p)
         rank = len(leads)
-        dims[c] = len(level) - rank - above
+        dims[c - 1] = dim = len(level) - rank - above
+        if dim < 0:
+            raise InvariantError(f"negative homology dimension at k={c - 1}")
         above = rank
         # most levels of a relative complex lead nothing: no set for them
         cleared = set(leads) if leads else ()
-    dims[0] = len(levels[0]) - above
-    for c, d in enumerate(dims):
-        if d < 0:
-            raise InvariantError(f"negative homology dimension at k={c - 1}")
-    return dict(zip(range(-1, top), dims))
+    dims[-1] = dim = len(levels[0]) - above
+    if dim < 0:
+        raise InvariantError("negative homology dimension at k=-1")
+    return dims
 
 
 def reduced_homology_dims(g: Graph, field: FieldSpec = FieldSpec()) -> HomologyProfile:

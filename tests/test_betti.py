@@ -201,6 +201,44 @@ def test_table_depends_on_field_rp2_witness(monkeypatch):
     assert tables[2] == gf2
 
 
+def test_no_zero_row_reaches_the_rank(monkeypatch):
+    # A listed face whose every vertex is alone in some wall has a zero
+    # relative boundary row: it is a cycle, counted in its level, and no row
+    # of it reaches the rank.  Every map the sweep yields stays dense on
+    # -1 .. top - 1, and the tables are the oracles': the RP^2 witness's
+    # fixed tables, and the naive QQ table of 20 random graphs, which have
+    # too few vertices for torsion, so the same in every field.
+    handed, maps = [], []
+
+    def rank(rows, p):
+        handed.extend(rows)
+        return linalg.matrix_rank(rows, p)
+
+    def dims_of(levels, p, walls=()):
+        dims = homology_dims_from_levels(levels, p, walls)
+        maps.append((len(levels) - 1, dims))
+        return dims
+
+    monkeypatch.setattr(homology, "matrix_rank", rank)
+    monkeypatch.setattr(betti, "homology_dims_from_levels", dims_of)
+    rng = random.Random(30)
+    graphs = [random_graph(rng.randint(4, 8), rng, p=0.45) for _ in range(20)]
+    rp2_gf2 = dict(RP2_WITNESS_QQ)
+    rp2_gf2[9, 3] = rp2_gf2[10, 2] = 1
+    cases = [(RP2_WITNESS, {None: RP2_WITNESS_QQ, 2: rp2_gf2, 3: RP2_WITNESS_QQ})]
+    cases += [(g, dict.fromkeys((None, 2, 3), naive_betti_table(g))) for g in graphs]
+    total = 0
+    for g, want in cases:
+        for p in (None, 2, 3):
+            handed.clear()
+            maps.clear()
+            assert betti_table(g, FieldSpec(p)).entries == want[p], (g.adj, p)
+            assert all(handed), (g.adj, p)
+            assert maps and all(set(dims) == set(range(-1, top)) for top, dims in maps)
+            total += len(handed)
+    assert total > 1000
+
+
 def _seeded_sweep_graph():
     """Seeded G(13, 26), redrawn until connected, non-chordal, min degree 2."""
     rng = random.Random(13)

@@ -14,6 +14,7 @@ from edgebetti.graphs import iter_bits, mask_of, new_graph
 from edgebetti.homology import (
     MAX_SWEEP_VERTICES,
     FieldSpec,
+    InvariantError,
     homology_dims_from_levels,
     independence_numbers,
     independent_sets_by_card,
@@ -550,24 +551,33 @@ def test_cleared_ranks_equal_full_ranks(monkeypatch):
     def recorded(rank):
         def wrapper(rows, *args):
             leads = rank(rows, *args)
-            calls.append((len(rows), len(leads)))
+            calls.append((len(rows), leads))
             return leads
 
         return wrapper
 
     monkeypatch.setattr(homology, "matrix_rank", recorded(linalg.matrix_rank))
 
+    def zero_row(f, walls):
+        # every vertex of f alone in some wall: every facet misses a wall
+        return all(any(f & wall == 1 << v for wall in walls) for v in iter_bits(f))
+
     def check(levels, p, full, where, walls=()):
         calls.clear()
         dims = homology_dims_from_levels(levels, p, walls)
         top = len(levels) - 1
         assert len(calls) == top, where
-        above = 0
-        for c, (rows, rank), want in zip(range(top, 0, -1), calls, full):
-            kept = sum(1 for f in levels[c] if all(f & wall for wall in walls))
-            assert rows == kept - above, (where, c)
-            assert rank == want, (where, c)
-            above = rank
+        cleared = ()
+        for c, (rows, leads), want in zip(range(top, 0, -1), calls, full):
+            # the rows handed are the uncleared faces whose row is nonzero
+            handed = sum(
+                1
+                for f in levels[c]
+                if all(f & wall for wall in walls) and f not in cleared and not zero_row(f, walls)
+            )
+            assert rows == handed, (where, c)
+            assert len(leads) == want, (where, c)
+            cleared = set(leads)
         return dims
 
     fields = (None, 2, 3)
@@ -660,18 +670,33 @@ def test_cone_has_no_reduced_homology():
         assert all(v == 0 for v in dims.values())
 
 
+def test_rank_above_the_empty_face_is_checked(monkeypatch):
+    # The sign check on k = -1: two points, a whole listing, and a rank that
+    # gives both vertex rows a lead although they share their one column.
+    # Level 0 keeps a dimension of 0, and k = -1 would read 1 - 2.
+    monkeypatch.setattr(homology, "matrix_rank", lambda rows, p: list(range(len(rows))))
+    with pytest.raises(InvariantError, match="k=-1"):
+        homology_dims_from_levels([[0], [1, 2]], None)
+
+
 # A rank pushed too high (one lead per row, dependent or not) makes a
 # homology dimension negative.  (A rank of 0 would not do: the ranks cancel
-# from the table's alternating sum, so the Hilbert check still holds.)
+# from the table's alternating sum, so the Hilbert check still holds.)  The
+# sweep of C5 hands the rank two rows; a graph whose rows are all zero rows,
+# as P3's are, would leave the tampered rank nothing to push.
 _TAMPERED_SWEEP = """
 import sys
 import edgebetti.homology as homology
 from edgebetti import FieldSpec, betti_table, new_graph
-homology.matrix_rank = lambda rows, p: list(range(len(rows)))
+handed = []
+def tampered(rows, p):
+    handed.extend(rows)
+    return list(range(len(rows)))
+homology.matrix_rank = tampered
 try:
-    betti_table(new_graph(3, [(0, 1), (1, 2)]), FieldSpec.gf(2))
+    betti_table(new_graph(5, [(i, (i + 1) % 5) for i in range(5)]), FieldSpec.gf(2))
 except Exception as exc:
-    print(sys.flags.optimize, type(exc).__name__)
+    print(sys.flags.optimize, type(exc).__name__, len(handed) > 0)
 """
 
 
@@ -683,4 +708,4 @@ def test_identity_checks_survive_optimize(flags):
         text=True,
         timeout=60,
     )
-    assert proc.stdout.split() == [str(len(flags)), "InvariantError"], proc.stderr
+    assert proc.stdout.split() == [str(len(flags)), "InvariantError", "True"], proc.stderr
